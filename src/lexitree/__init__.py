@@ -30,7 +30,6 @@ from .model import (
 )
 from .rules import RulesError, default_registry, load_rules, parse_rules
 from .transform import (
-    TableRow,
     TableSpec,
     expand_alternatives,
     extract_table,

@@ -20,17 +20,18 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import rules as rules_mod
 from .model import (
-    EffectiveFeatureSet,
     FeatureClassRegistry,
     LexitreeError,
     Node,
     NodePath,
-    OverwriteConflict,
-    PathOutOfRange,
+    Property,
     UnexpandedAlternatives,
+    _properties,
+    _walk,
     check_consistency,
     effective_set,
     enumerate_traversals,
@@ -38,7 +39,7 @@ from .model import (
     partial_traversals,
 )
 from .transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance, render_table
-from .xmlio import DEFAULT_PROFILE, ParseError, SerializeError, parse_entry, serialize_entry
+from .xmlio import DEFAULT_PROFILE, parse_entry, serialize_entry
 
 OK = 0
 SEMANTIC = 1
@@ -105,8 +106,8 @@ def _load_registry(rules_arg: str | None) -> FeatureClassRegistry:
     return rules_mod.default_registry()
 
 
-class _InputError(Exception):
-    pass
+class _InputError(LexitreeError):
+    exit_code = PARSE_FAILURE
 
 
 def _read_tree(path: str) -> Node:
@@ -120,8 +121,8 @@ def _read_tree(path: str) -> Node:
     return tree
 
 
-def _print_effective(eff: EffectiveFeatureSet) -> None:
-    for prop in eff.entries:
+def _print_properties(props: Iterable[Property]) -> None:
+    for prop in props:
         print(f"{str(prop.feature)} : {format_value(prop.value)}")
 
 
@@ -140,21 +141,23 @@ def _cmd_validate(args) -> int:
 def _cmd_effective(args) -> int:
     registry = _load_registry(args.rules)
     tree = _read_tree(args.file)
-    _print_effective(effective_set(tree, parse_path(args.path), registry))
+    _print_properties(effective_set(tree, parse_path(args.path), registry).entries)
     return OK
 
 
 def _cmd_traversals(args) -> int:
     registry = _load_registry(args.rules)
     tree = _read_tree(args.file)
-    paths = partial_traversals(tree) if args.partial else enumerate_traversals(tree)
+    listed = set(partial_traversals(tree) if args.partial else enumerate_traversals(tree))
     first = True
-    for path in paths:
+    for path, _, state, _ in _walk(tree, registry):
+        if path not in listed:
+            continue
         if not first:
             print()
         first = False
         print(format_path(path))
-        _print_effective(effective_set(tree, path, registry))
+        _print_properties(_properties(state))
     return OK
 
 
@@ -203,19 +206,13 @@ def main(argv: list[str] | None = None) -> int:
         return SEMANTIC
     try:
         return _COMMANDS[args.command](args)
-    except (_InputError, ParseError) as exc:
-        print(f"lexitree: {exc}", file=sys.stderr)
-        return PARSE_FAILURE
-    except UnexpandedAlternatives as exc:
-        print(f"lexitree: {exc} (run: lexitree expand)", file=sys.stderr)
-        return SEMANTIC
-    except (PathOutOfRange, OverwriteConflict, SerializeError, rules_mod.RulesError) as exc:
-        print(f"lexitree: {exc}", file=sys.stderr)
-        return SEMANTIC
+    except LexitreeError as exc:
+        hint = " (run: lexitree expand)" if isinstance(exc, UnexpandedAlternatives) else ""
+        print(f"lexitree: {exc}{hint}", file=sys.stderr)
+        return exc.exit_code
     except (_UsageError, ValueError) as exc:
         print(f"lexitree: {exc}", file=sys.stderr)
         return SEMANTIC
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

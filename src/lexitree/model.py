@@ -35,7 +35,9 @@ _FEATURE_NAME_RE = re.compile(r"[a-z0-9][a-z0-9-]*")
 
 
 class LexitreeError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package; the CLI exits with `exit_code`."""
+
+    exit_code = 1
 
 
 class OverwriteConflict(LexitreeError):
@@ -79,6 +81,8 @@ class FeatureName(str):
     """
 
     def __new__(cls, name: str) -> "FeatureName":
+        if isinstance(name, FeatureName):
+            return name
         folded = name.lower()
         if not _FEATURE_NAME_RE.fullmatch(folded):
             raise ValueError(f"invalid feature name {name!r}")
@@ -335,20 +339,18 @@ def normalize_text(text: str) -> str:
     return unicodedata.normalize("NFC", text).strip()
 
 
+def _value_key(value: FeatureValue) -> str | tuple:
+    """The comparison form of a value: normalized text for an atomic value, a
+    tuple of (feature, attrs, key) for a composite. Two values are equal
+    exactly when their keys are."""
+    if isinstance(value, Atomic):
+        return normalize_text(value.text)
+    return tuple((p.feature, p.attrs, _value_key(p.value)) for p in value.properties)
+
+
 def values_equal(a: FeatureValue, b: FeatureValue) -> bool:
     """Structural value equality with normalized atomic text."""
-    if isinstance(a, Atomic) and isinstance(b, Atomic):
-        return normalize_text(a.text) == normalize_text(b.text)
-    if isinstance(a, Composite) and isinstance(b, Composite):
-        return len(a.properties) == len(b.properties) and all(
-            pa.feature == pb.feature and pa.attrs == pb.attrs and values_equal(pa.value, pb.value)
-            for pa, pb in zip(a.properties, b.properties)
-        )
-    return False
-
-
-def _matches_required(value: FeatureValue, required: str) -> bool:
-    return isinstance(value, Atomic) and normalize_text(value.text) == normalize_text(required)
+    return _value_key(a) == _value_key(b)
 
 
 def format_value(value: FeatureValue) -> str:
@@ -404,6 +406,85 @@ def attach_property(node: Node, prop: Property, registry: FeatureClassRegistry) 
     return Node(node.properties + (prop,), node.alt_groups, node.children)
 
 
+# The propagation state at a node maps a key to (property, contributing
+# depth, value key), in effective order. An overwriting entry's key is its
+# feature, so a deeper value replaces it by lookup; a cumulative entry's key
+# is (feature, attrs, value key), so an exact duplicate is a key already
+# present; a local entry's key is its index in the node's property list.
+_State = dict[object, tuple[Property, int, object]]
+
+
+def _fold(
+    state: _State, node: Node, depth: int, registry: FeatureClassRegistry,
+    doubled: list[tuple[Property, Property]] | None = None,
+) -> list[int]:
+    """Fold one node's properties onto the state it inherits, in place, as
+    `effective_set` describes; return the keys of the node's local entries,
+    which its children drop. A second occurrence of an overwriting feature at
+    the node raises OverwriteConflict, or is skipped and appended to `doubled`
+    as (first, second) when that list is given.
+    """
+    local_keys: list[int] = []
+    seen_here: dict[FeatureName, Property] = {}
+    for index, prop in enumerate(node.properties):
+        feature = prop.feature
+        cls = registry.classify(feature)
+        if cls is FeatureClass.LOCAL:
+            state[index] = (prop, depth, None)
+            local_keys.append(index)
+            continue
+        key = _value_key(prop.value)
+        if cls is FeatureClass.CUMULATIVE:
+            state.setdefault((feature, prop.attrs, key), (prop, depth, key))
+            continue
+        if feature in seen_here:
+            if doubled is None:
+                raise OverwriteConflict(feature, seen_here[feature].value, prop.value)
+            doubled.append((seen_here[feature], prop))
+            continue
+        seen_here[feature] = prop
+        inherited = state.get(feature)
+        if inherited is not None:
+            if inherited[2] == key and inherited[0].attrs == prop.attrs:
+                continue  # value already in force; nothing is overwritten
+            del state[feature]
+        state[feature] = (prop, depth, key)
+        for rule in registry.rules:
+            if rule.governor == feature and key != normalize_text(rule.required_value):
+                for blocked in [k for k, e in state.items() if e[0].feature == rule.dependent and e[1] < depth]:
+                    del state[blocked]
+    return local_keys
+
+
+def _walk(
+    root: Node, registry: FeatureClassRegistry, strict: bool = True
+) -> Iterator[tuple[NodePath, Node, _State, list[tuple[Property, Property]] | None]]:
+    """Yield (path, node, state, doubled) for every node in document order.
+
+    Each node is folded once, onto a copy of its parent's state less the
+    parent's local entries; callers only read the state, which the node's
+    children share. When `strict`, alternative groups and doubled overwriting
+    features raise; otherwise they are left to the caller, doubled ones listed.
+    """
+    stack: list[tuple[NodePath, Node, _State, list[int]]] = [((), root, {}, [])]
+    while stack:
+        path, node, inherited, dropped = stack.pop()
+        if strict and node.alt_groups:
+            raise UnexpandedAlternatives(path)
+        state = dict(inherited)
+        for key in dropped:
+            del state[key]
+        doubled = None if strict else []
+        local_keys = _fold(state, node, len(path), registry, doubled)
+        yield path, node, state, doubled
+        for i in range(len(node.children) - 1, -1, -1):
+            stack.append((path + (i,), node.children[i], state, local_keys))
+
+
+def _properties(state: _State) -> list[Property]:
+    return [entry[0] for entry in state.values()]
+
+
 def effective_set(
     root: Node, path: Sequence[int], registry: FeatureClassRegistry
 ) -> EffectiveFeatureSet:
@@ -431,52 +512,15 @@ def effective_set(
             raise PathOutOfRange(path, step)
         node = node.children[index]
         chain.append(node)
-    endpoint = len(chain) - 1
 
-    entries: list[Property] = []
-    depths: list[int] = []
+    state: _State = {}
+    local_keys: list[int] = []
     for depth, current in enumerate(chain):
-        seen_here: dict[FeatureName, Property] = {}
-        for prop in current.properties:
-            cls = registry.classify(prop.feature)
-            if cls is FeatureClass.OVERWRITING:
-                if prop.feature in seen_here:
-                    raise OverwriteConflict(prop.feature, seen_here[prop.feature].value, prop.value)
-                seen_here[prop.feature] = prop
-                at = next((i for i, e in enumerate(entries) if e.feature == prop.feature), None)
-                if (
-                    at is not None
-                    and entries[at].attrs == prop.attrs
-                    and values_equal(entries[at].value, prop.value)
-                ):
-                    continue  # value already in force; nothing is overwritten
-                if at is not None:
-                    del entries[at]
-                    del depths[at]
-                entries.append(prop)
-                depths.append(depth)
-                for rule in registry.rules:
-                    if rule.governor == prop.feature and not _matches_required(prop.value, rule.required_value):
-                        keep = [
-                            i
-                            for i in range(len(entries))
-                            if not (entries[i].feature == rule.dependent and depths[i] < depth)
-                        ]
-                        entries = [entries[i] for i in keep]
-                        depths = [depths[i] for i in keep]
-            elif cls is FeatureClass.CUMULATIVE:
-                if any(
-                    e.feature == prop.feature and e.attrs == prop.attrs and values_equal(e.value, prop.value)
-                    for e in entries
-                ):
-                    continue
-                entries.append(prop)
-                depths.append(depth)
-            else:  # LOCAL
-                if depth == endpoint:
-                    entries.append(prop)
-                    depths.append(depth)
-    return EffectiveFeatureSet(entries, depths)
+        for key in local_keys:
+            del state[key]
+        local_keys = _fold(state, current, depth, registry)
+    entries = state.values()
+    return EffectiveFeatureSet([e[0] for e in entries], [e[1] for e in entries])
 
 
 def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violation]:
@@ -485,27 +529,17 @@ def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violat
     Two kinds are checked: an overwriting feature carrying two values at one
     node, and a dependent feature attached at a node whose governor's
     effective value is present but different from the rule's required value.
-    A governor with no effective value at all is not reported; there is no
-    value to contradict.
+    A governor with no effective value at all, because it was never set or
+    because a rule blocked it, is not reported; there is no value to
+    contradict.
     """
     violations: list[Violation] = []
-
-    def walk(node: Node, path: NodePath, inherited: dict[FeatureName, FeatureValue]) -> None:
-        env = dict(inherited)
-        seen_here: dict[FeatureName, Property] = {}
-        for prop in node.properties:
-            if registry.classify(prop.feature) is not FeatureClass.OVERWRITING:
-                continue
-            if prop.feature in seen_here:
-                violations.append(
-                    OverwriteViolation(path, prop.feature, seen_here[prop.feature].value, prop.value)
-                )
-            else:
-                seen_here[prop.feature] = prop
-                env[prop.feature] = prop.value
+    for path, node, state, doubled in _walk(root, registry, strict=False):
+        for first, second in doubled:
+            violations.append(OverwriteViolation(path, second.feature, first.value, second.value))
         for rule in registry.rules:
-            governor_value = env.get(rule.governor)
-            if governor_value is None or _matches_required(governor_value, rule.required_value):
+            governor = state.get(rule.governor)
+            if governor is None or governor[2] == normalize_text(rule.required_value):
                 continue
             for prop in node.properties:
                 if prop.feature == rule.dependent:
@@ -515,13 +549,9 @@ def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violat
                             rule.dependent,
                             rule.governor,
                             rule.required_value,
-                            format_value(governor_value),
+                            format_value(governor[0].value),
                         )
                     )
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,), env)
-
-    walk(root, (), {})
     return violations
 
 

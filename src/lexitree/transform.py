@@ -14,12 +14,12 @@ from .model import (
     FeatureClassRegistry,
     FeatureName,
     Node,
-    NodePath,
-    UnexpandedAlternatives,
-    effective_set,
-    enumerate_traversals,
+    _properties,
+    _require_alt_free,
+    _walk,
     format_value,
 )
+from .xmlio import _escape_text
 
 
 def _expand(node: Node) -> list[Node]:
@@ -66,14 +66,12 @@ def materialize_inheritance(root: Node, registry: FeatureClassRegistry) -> Node:
     Running the operation twice changes nothing: re-specified values are
     no-ops and duplicated cumulative values collapse.
     """
-    def rebuild(node: Node, path: NodePath) -> Node:
-        if node.alt_groups:
-            raise UnexpandedAlternatives(path)
-        props = effective_set(root, path, registry).entries
-        children = tuple(rebuild(child, path + (i,)) for i, child in enumerate(node.children))
-        return Node(props, (), children)
-
-    return rebuild(root, ())
+    folded = [(node, _properties(state)) for _, node, state, _ in _walk(root, registry)]
+    built: list[Node] = []
+    for node, props in reversed(folded):  # each node's children are built before it
+        children = [built.pop() for _ in node.children]
+        built.append(Node(props, (), children))
+    return built[0]
 
 
 @dataclass(frozen=True)
@@ -81,73 +79,52 @@ class TableSpec:
     """Columns to extract, one row per full traversal."""
 
     columns: tuple[FeatureName, ...]
-    row_unit: str = "full-traversal"
     format: str = "tsv"
 
-    def __init__(
-        self,
-        columns: Iterable[FeatureName | str],
-        row_unit: str = "full-traversal",
-        format: str = "tsv",
-    ):
+    def __init__(self, columns: Iterable[FeatureName | str], format: str = "tsv"):
         cols = tuple(FeatureName(c) for c in columns)
         if not cols:
             raise ValueError("a table needs at least one column")
-        if row_unit != "full-traversal":
-            raise ValueError(f"unsupported row unit {row_unit!r}")
         if format not in ("tsv", "html"):
             raise ValueError(f"unsupported table format {format!r}")
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "row_unit", row_unit)
         object.__setattr__(self, "format", format)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    cells: tuple[str, ...]
-
-    def __init__(self, cells: Iterable[str]):
-        object.__setattr__(self, "cells", tuple(cells))
-
-
-def extract_table(root: Node, spec: TableSpec, registry: FeatureClassRegistry) -> list[TableRow]:
+def extract_table(root: Node, spec: TableSpec, registry: FeatureClassRegistry) -> list[tuple[str, ...]]:
     """One row per full traversal; a cell holds the column feature's value(s)
     in that traversal's effective set, multiple values joined with "; "."""
+    _require_alt_free(root)  # alternatives anywhere are refused before any fold can fail
     rows = []
-    for path in enumerate_traversals(root):
-        eff = effective_set(root, path, registry)
-        cells = []
-        for column in spec.columns:
-            values = [format_value(p.value) for p in eff.entries if p.feature == column]
-            cells.append("; ".join(values))
-        rows.append(TableRow(cells))
+    for _, node, state, _ in _walk(root, registry):
+        if not node.children:
+            props = _properties(state)
+            rows.append(tuple(
+                "; ".join(format_value(p.value) for p in props if p.feature == column) for column in spec.columns
+            ))
     return rows
 
 
-def _escape_html(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def render_tsv(spec: TableSpec, rows: list[TableRow]) -> str:
+def render_tsv(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
     lines = ["\t".join(str(c) for c in spec.columns)]
-    lines.extend("\t".join(row.cells) for row in rows)
+    lines.extend("\t".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def render_html(spec: TableSpec, rows: list[TableRow]) -> str:
+def render_html(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
     lines = ["<table>"]
     for column in spec.columns:
-        lines.append(f"  <th>{_escape_html(str(column))}</th>")
+        lines.append(f"  <th>{_escape_text(str(column))}</th>")
     for row in rows:
         lines.append("  <tr>")
-        for cell in row.cells:
-            lines.append(f"    <td>{_escape_html(cell)}</td>")
+        for cell in row:
+            lines.append(f"    <td>{_escape_text(cell)}</td>")
         lines.append("  </tr>")
     lines.append("</table>")
     return "\n".join(lines) + "\n"
 
 
-def render_table(spec: TableSpec, rows: list[TableRow]) -> str:
+def render_table(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
     if spec.format == "html":
         return render_html(spec, rows)
     return render_tsv(spec, rows)

@@ -91,6 +91,8 @@ class ParseDiagnostic:
 
 
 class ParseError(LexitreeError):
+    exit_code = 2
+
     def __init__(self, diagnostic: ParseDiagnostic):
         self.diagnostic = diagnostic
         super().__init__(diagnostic.describe())
@@ -418,15 +420,7 @@ def _escape_text(text: str) -> str:
 
 
 def _escape_attr(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-        .replace("\t", "&#9;")
-        .replace("\n", "&#10;")
-        .replace("\r", "&#13;")
-    )
+    return _escape_text(text).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
 
 
 def _attr_string(attrs: tuple[tuple[str, str], ...]) -> str:

@@ -6,8 +6,9 @@ import pytest
 from conftest import FIXTURES, fixture_bytes
 
 from lexitree.cli import main, parse_path
-from lexitree.rules import default_rules_text
-from lexitree.transform import expand_alternatives, materialize_inheritance
+from lexitree.model import check_consistency
+from lexitree.rules import default_registry, default_rules_text
+from lexitree.transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance
 from lexitree.rules import parse_rules
 from lexitree.xmlio import parse_entry, serialize_entry
 
@@ -327,6 +328,31 @@ def test_bad_usage_is_exit_one(capsys):
     assert code == 1 and err
     code, _, err = run(capsys, "frobnicate", FIXTURES / "leaf.xml")
     assert code == 1 and err
+
+
+def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
+    # Deeper than the interpreter's recursion limit. Odd levels set gen under
+    # pos=noun; even levels turn pos to verb, which blocks the inherited gen.
+    depth = 1200
+    levels = "".join(
+        f"<struc><pos>noun</pos><gen>m</gen><ex>e{i}</ex>" if i % 2 else f"<struc><pos>verb</pos><ex>e{i}</ex>"
+        for i in range(depth)
+    )
+    doc = tmp_path / "deep.xml"
+    doc.write_text(f"<struc><orth>deep</orth><def>d</def>{levels}{'</struc>' * (depth + 1)}", encoding="utf-8")
+    tree, _ = parse_entry(doc.read_bytes())
+    registry = default_registry()
+    assert check_consistency(tree, registry) == []
+    leaf = materialize_inheritance(tree, registry)
+    for _ in range(depth):
+        (leaf,) = leaf.children
+    assert [str(p.feature) for p in leaf.properties] == ["orth", "def", "pos", "gen", "ex"]
+    assert extract_table(tree, TableSpec(["orth", "pos", "gen"]), registry) == [("deep", "noun", "m")]
+    code, out, _ = run(capsys, "validate", doc)
+    assert (code, out) == (0, "OK\n")
+    code, out, _ = run(capsys, "traversals", doc, "--full")
+    assert code == 0
+    assert out.splitlines()[1:] == ["orth : deep", "def : d", "pos : noun", "gen : m", "ex : e1199"]
 
 
 def test_module_entry_point_runs():

@@ -35,6 +35,8 @@ from lexitree.model import (
 
 def test_feature_names_fold_case_and_compare_equal():
     assert FeatureName("Orth") == FeatureName("orth") == "orth"
+    name = FeatureName("orth")
+    assert FeatureName(name) is name
 
 
 @pytest.mark.parametrize("bad", ["", "two words", "UPPER SPACE", "-lead", "a_b", "café"])
@@ -296,6 +298,24 @@ def test_inherited_governor_covers_descendants():
     assert check_consistency(good, registry) == []
     bad = Node([P("pos", "v")], children=[Node([P("gen", "f")])])
     assert [type(v) for v in check_consistency(bad, registry)] == [DependencyViolation]
+
+
+def test_blocked_governor_is_not_reported():
+    # gen is licensed by pos=noun and itself governs art; once pos turns to
+    # verb, gen has no effective value, so art has nothing to contradict.
+    registry = FeatureClassRegistry(
+        {"pos": FeatureClass.OVERWRITING, "gen": FeatureClass.OVERWRITING, "art": FeatureClass.OVERWRITING},
+        [DependencyRule("gen", "pos", "noun"), DependencyRule("art", "gen", "m")],
+    )
+    blocked = Node(
+        [P("pos", "noun"), P("gen", "f")],
+        children=[Node([P("pos", "verb")], children=[Node([P("art", "x")])])],
+    )
+    assert effective_set(blocked, (0, 0), registry).values("gen") == ()
+    assert check_consistency(blocked, registry) == []
+    present = Node([P("pos", "noun"), P("gen", "f")], children=[Node([P("art", "x")])])
+    violations = check_consistency(present, registry)
+    assert [(v.path, v.dependent, v.actual_value) for v in violations] == [((0,), "art", "f")]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from lexitree.model import (
 )
 from lexitree.rules import parse_rules
 from lexitree.transform import (
-    TableRow,
     TableSpec,
     expand_alternatives,
     extract_table,
@@ -236,24 +235,24 @@ def test_overdress_table_matches_published_rows(overdress, registry):
     spec = TableSpec(["orth", "pos", "def"])
     rows = extract_table(overdress, spec, registry)
     assert rows == [
-        TableRow(("overdress", "verb", "To dress (oneself or another) too elaborately or finely")),
-        TableRow(("overdress", "noun", "A dress that may be worn over a jumper, blouse, etc.")),
+        ("overdress", "verb", "To dress (oneself or another) too elaborately or finely"),
+        ("overdress", "noun", "A dress that may be worn over a jumper, blouse, etc."),
     ]
 
 
 def test_missing_feature_gives_empty_cell(registry):
     leaf = Node([P("orth", "mono")])
     rows = extract_table(leaf, TableSpec(["orth", "pos"]), registry)
-    assert rows == [TableRow(("mono", ""))]
+    assert rows == [("mono", "")]
 
 
 def test_cumulative_cells_join_values(gendarme, registry):
     rows = extract_table(gendarme, TableSpec(["orth", "def"]), registry)
     assert rows == [
-        TableRow((
+        (
             "le gendarme",
             "Militaire appartenant à un corps ...; symbole de la force publique, de l'ordre.",
-        ))
+        )
     ]
 
 
@@ -267,8 +266,6 @@ def test_table_spec_validation():
         TableSpec([])
     with pytest.raises(ValueError):
         TableSpec(["orth"], format="csv")
-    with pytest.raises(ValueError):
-        TableSpec(["orth"], row_unit="per-node")
 
 
 def test_render_tsv(overdress, registry):
