@@ -98,12 +98,13 @@ def format_path(path: NodePath) -> str:
 
 
 def _load_registry(rules_arg: str | None) -> FeatureClassRegistry:
-    if rules_arg:
-        return rules_mod.load_rules(rules_arg)
-    env = os.environ.get("LEXITREE_RULES")
-    if env:
-        return rules_mod.load_rules(env)
-    return rules_mod.default_registry()
+    path = rules_arg or os.environ.get("LEXITREE_RULES")
+    if not path:
+        return rules_mod.default_registry()
+    try:
+        return rules_mod.load_rules(path)
+    except OSError as exc:  # an unreadable rules file is a bad argument
+        raise _UsageError(str(exc)) from exc
 
 
 class _InputError(LexitreeError):

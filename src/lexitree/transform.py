@@ -8,6 +8,7 @@ results are safe because nothing here mutates a node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 from .model import (
@@ -22,21 +23,6 @@ from .model import (
 from .xmlio import _escape_text
 
 
-def _expand(node: Node) -> list[Node]:
-    if node.alt_groups:
-        group = node.alt_groups[0]
-        rest = node.alt_groups[1:]
-        variants: list[Node] = []
-        for alternative in group.alternatives:
-            # alternative-specific properties first, then the shared ones
-            variants.extend(_expand(Node(alternative + node.properties, rest, node.children)))
-        return variants
-    children: list[Node] = []
-    for child in node.children:
-        children.extend(_expand(child))
-    return [Node(node.properties, (), children)]
-
-
 def expand_alternatives(root: Node) -> Node:
     """Rewrite alternative groups as explicit sibling partitions.
 
@@ -49,7 +35,26 @@ def expand_alternatives(root: Node) -> Node:
     A root that itself carries alternatives has nowhere to put siblings, so
     its variants are attached under a fresh property-less root.
     """
-    variants = _expand(root)
+    order, stack = [], [root]
+    while stack:  # preorder
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(node.children))
+    built: list[list[Node]] = []  # the variants of each expanded subtree
+    for node in reversed(order):  # each node's children are expanded before it
+        if not (node.alt_groups or node.children):
+            built.append([node])  # a leaf without alternatives stays as it is
+            continue
+        children: list[Node] = []
+        for _ in node.children:
+            children += built.pop()
+        # a later group's alternative goes ahead of an earlier one's, as if
+        # the groups were expanded one at a time
+        built.append([
+            Node(sum(reversed(chosen), ()) + node.properties, (), children)
+            for chosen in product(*(group.alternatives for group in node.alt_groups))
+        ])
+    (variants,) = built
     if len(variants) == 1:
         return variants[0]
     return Node(children=variants)

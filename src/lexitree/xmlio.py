@@ -7,8 +7,10 @@ group), and `brack` (a grouping property whose value is a one-level bundle of
 feature elements). Every other element is a base element naming a feature;
 its text is the value and its XML attributes are carried verbatim.
 
-Parsing is lenient by default: unknown elements become atomic properties
-with a warning so real dictionary data with extra tags degrades gracefully.
+Which element may open inside which is one table, `_CONTENT`, that also
+holds the refusal for the rest. Parsing is lenient by default: unknown
+elements become atomic properties and misplaced ones are skipped, each with
+a warning, so real dictionary data with extra tags degrades gracefully.
 With `strict` set on the profile they abort the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
@@ -17,7 +19,8 @@ text. Parsing that form yields the original tree; trees that came from a
 parse re-serialize byte-identically. Two caveats follow from the encoding
 itself: adjacent alternative groups cannot be told apart (they re-parse as
 one group), and `gender` is accepted on input as an alias that canonicalizes
-to `gen`.
+to `gen`. Neither parsing nor writing recurses, so nesting depth is bounded
+by memory alone.
 """
 
 from __future__ import annotations
@@ -128,184 +131,111 @@ def _collapse(text: str) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# The content model. For the kind of the open element (None at document
+# level), the kinds of child element it allows and the refusal for the rest.
+# A feature element's kind is "". Markup inside a feature element is not
+# refused but flattened into its text.
+_CONTENT: dict[str | None, tuple[frozenset[str], str]] = {
+    None: (frozenset({"dict", "struc"}), "document element must be <dict> or <struc>, not <{tag}>"),
+    "dict": (frozenset({"struc"}), "unexpected <{tag}> directly inside <dict>"),
+    "struc": (frozenset({"struc", "alt", "brack", ""}), "nested <dict> is not allowed"),
+    "alt": (frozenset({"brack", ""}), "<{tag}> is not allowed inside <alt>"),
+    "brack": (frozenset({""}), "<{tag}> is not allowed inside <brack>; only one level of feature elements"),
+}
 
-class _PropertyHolder:
-    """Common behavior of frames that collect properties (struc, alt, brack)."""
 
-    def __init__(self):
+class _Frame:
+    """One open element: `kind` is "dict", "struc", "alt", "brack", or "" for
+    a feature element.
+
+    `props` collects the properties of a struc, alt or brack; `children` the
+    nodes of a struc or dict; `groups` and `alt_run` a struc's alternative
+    groups and the run of `alt` siblings still open; `chunks` a feature
+    element's text. `flatten` counts the markup open inside a feature element.
+    """
+
+    def __init__(self, kind: str, attrs: tuple[tuple[str, str], ...] = (), feature: FeatureName | None = None):
+        self.kind = kind
+        self.feature = feature
+        self.attrs = attrs
         self.props: list[Property] = []
-
-    def receive(self, prop: Property) -> None:
-        self.props.append(prop)
-
-
-class _StrucFrame(_PropertyHolder):
-    def __init__(self):
-        super().__init__()
         self.groups: list[AltGroup] = []
         self.children: list[Node] = []
         self.alt_run: list[tuple[Property, ...]] = []
-
-
-class _AltFrame(_PropertyHolder):
-    pass
-
-
-class _BrackFrame(_PropertyHolder):
-    def __init__(self, attrs: tuple[tuple[str, str], ...]):
-        super().__init__()
-        self.attrs = attrs
-
-
-class _BaseFrame:
-    def __init__(self, feature: FeatureName, attrs: tuple[tuple[str, str], ...]):
-        self.feature = feature
-        self.attrs = attrs
         self.chunks: list[str] = []
-        self.flatten_depth = 0
-
-
-class _DictFrame:
-    def __init__(self):
-        self.roots: list[Node] = []
+        self.flatten = 0
+        self.warned_text = False
 
 
 class _Parser:
     def __init__(self, profile: EncodingProfile):
         self.profile = profile
         self.diagnostics: list[ParseDiagnostic] = []
-        self.stack: list[object] = []
+        self.stack: list[_Frame] = []
         self.result: Node | None = None
         self.skip_depth = 0
-        self.warned_text_frames: set[int] = set()
         self.expat = expat.ParserCreate(encoding=None)
         self.expat.ordered_attributes = True
         self.expat.StartElementHandler = self.start
         self.expat.EndElementHandler = self.end
         self.expat.CharacterDataHandler = self.chardata
 
-    # -- diagnostics ---------------------------------------------------
-
-    def _where(self) -> tuple[int, int]:
-        return self.expat.CurrentLineNumber, self.expat.CurrentColumnNumber + 1
+    def _diagnostic(self, severity: str, message: str) -> ParseDiagnostic:
+        return ParseDiagnostic(severity, self.expat.CurrentLineNumber, self.expat.CurrentColumnNumber + 1, message)
 
     def warn(self, message: str) -> None:
-        line, column = self._where()
-        self.diagnostics.append(ParseDiagnostic("warning", line, column, message))
+        self.diagnostics.append(self._diagnostic("warning", message))
 
     def fail(self, exc_type: type[ParseError], message: str) -> None:
-        line, column = self._where()
-        raise exc_type(ParseDiagnostic("error", line, column, message))
-
-    def reject(self, message: str, exc_type: type[ParseError] = UnknownElement) -> None:
-        """Strict mode aborts; lenient mode warns and skips the element."""
-        if self.profile.strict:
-            self.fail(exc_type, message)
-        self.warn(f"{message}; skipped")
-        self.skip_depth = 1
-
-    # -- element classification -----------------------------------------
-
-    def _feature_for(self, tag: str) -> FeatureName | None:
-        try:
-            name = FeatureName(tag)
-        except ValueError:
-            return None
-        if name in self.profile.base_elements:
-            return FeatureName(_FEATURE_ALIASES.get(name, name))
-        return None
-
-    @staticmethod
-    def _attr_pairs(attrs: list[str]) -> tuple[tuple[str, str], ...]:
-        return tuple((attrs[i], attrs[i + 1]) for i in range(0, len(attrs), 2))
-
-    def _drop_attrs(self, tag: str, attrs: list[str]) -> None:
-        if attrs:
-            self.warn(f"attributes on <{tag}> are not modeled; dropped")
-
-    # -- handlers --------------------------------------------------------
+        raise exc_type(self._diagnostic("error", message))
 
     def start(self, tag: str, attrs: list[str]) -> None:
         if self.skip_depth:
             self.skip_depth += 1
             return
         top = self.stack[-1] if self.stack else None
-
-        if isinstance(top, _BaseFrame):
-            top.flatten_depth += 1
+        if top is not None and not top.kind:
+            top.flatten += 1
             self.warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
             return
-
-        if top is None:
-            if tag == "dict":
-                self._drop_attrs(tag, attrs)
-                self.stack.append(_DictFrame())
-            elif tag == "struc":
-                self._drop_attrs(tag, attrs)
-                self.stack.append(_StrucFrame())
-            else:
-                self.fail(UnknownElement, f"document element must be <dict> or <struc>, not <{tag}>")
+        kind = tag if tag in _STRUCTURAL else ""
+        allowed, refusal = _CONTENT[top.kind if top is not None else None]
+        if kind not in allowed:
+            # a wrong document element is fatal; strict mode aborts, lenient skips
+            message = refusal.format(tag=tag)
+            if top is None or self.profile.strict:
+                self.fail(UnknownElement, message)
+            self.warn(f"{message}; skipped")
+            self.skip_depth = 1
             return
+        if top is not None and top.kind == "struc" and kind != "alt":
+            self._flush_alt_run(top)
+        if not kind:
+            self._start_feature(tag, attrs)
+        elif kind == "brack":
+            self.stack.append(_Frame(kind, tuple(zip(attrs[::2], attrs[1::2]))))
+        else:
+            if attrs:
+                self.warn(f"attributes on <{tag}> are not modeled; dropped")
+            self.stack.append(_Frame(kind))
 
-        if isinstance(top, _DictFrame):
-            if tag == "struc":
-                self._drop_attrs(tag, attrs)
-                self.stack.append(_StrucFrame())
-            else:
-                self.reject(f"unexpected <{tag}> directly inside <dict>")
-            return
-
-        if isinstance(top, _StrucFrame):
-            if tag == "struc":
-                self._flush_alt_run(top)
-                self._drop_attrs(tag, attrs)
-                self.stack.append(_StrucFrame())
-            elif tag == "alt":
-                self._drop_attrs(tag, attrs)
-                self.stack.append(_AltFrame())
-            elif tag == "brack":
-                self._flush_alt_run(top)
-                self.stack.append(_BrackFrame(self._attr_pairs(attrs)))
-            elif tag == "dict":
-                self.reject("nested <dict> is not allowed")
-            else:
-                self._flush_alt_run(top)
-                self._start_property_element(tag, attrs)
-            return
-
-        if isinstance(top, _AltFrame):
-            if tag == "brack":
-                self.stack.append(_BrackFrame(self._attr_pairs(attrs)))
-            elif tag in ("struc", "alt", "dict"):
-                self.reject(f"<{tag}> is not allowed inside <alt>")
-            else:
-                self._start_property_element(tag, attrs)
-            return
-
-        if isinstance(top, _BrackFrame):
-            if tag in _STRUCTURAL:
-                self.reject(f"<{tag}> is not allowed inside <brack>; only one level of feature elements")
-            else:
-                self._start_property_element(tag, attrs)
-            return
-
-        raise AssertionError(f"unhandled frame {top!r}")
-
-    def _start_property_element(self, tag: str, attrs: list[str]) -> None:
-        feature = self._feature_for(tag)
-        if feature is None:
+    def _start_feature(self, tag: str, attrs: list[str]) -> None:
+        try:
+            name = FeatureName(tag)
+        except ValueError:
+            name = None
+        if name not in self.profile.base_elements:
             if self.profile.strict:
                 self.fail(UnknownElement, f"unknown element <{tag}>")
-            try:
-                feature = FeatureName(_FEATURE_ALIASES.get(tag.lower(), tag))
-            except ValueError:
+            if name is None:
                 self.warn(f"unknown element <{tag}> is not a usable feature name; skipped")
                 self.skip_depth = 1
                 return
             self.warn(f"unknown element <{tag}> kept as a feature")
-        self.stack.append(_BaseFrame(feature, self._attr_pairs(attrs)))
+        feature = FeatureName(_FEATURE_ALIASES.get(name, name))
+        self.stack.append(_Frame("", tuple(zip(attrs[::2], attrs[1::2])), feature))
 
-    def _flush_alt_run(self, frame: _StrucFrame) -> None:
+    def _flush_alt_run(self, frame: _Frame) -> None:
         run, frame.alt_run = frame.alt_run, []
         if not run:
             return
@@ -319,70 +249,49 @@ class _Parser:
         if self.skip_depth:
             self.skip_depth -= 1
             return
-        top = self.stack[-1]
-
-        if isinstance(top, _BaseFrame):
-            if top.flatten_depth:
-                top.flatten_depth -= 1
+        stack = self.stack
+        top = stack[-1]
+        kind = top.kind
+        if not kind:
+            if top.flatten:
+                top.flatten -= 1
                 return
-            self.stack.pop()
+            stack.pop()
             text = _collapse("".join(top.chunks))
-            self._parent_holder().receive(Property(top.feature, Atomic(text), top.attrs))
-            return
-
-        if isinstance(top, _AltFrame):
-            self.stack.pop()
-            parent = self.stack[-1]
-            assert isinstance(parent, _StrucFrame)
-            if not top.props:
-                self.warn("empty <alt> dropped")
-            else:
-                parent.alt_run.append(tuple(top.props))
-            return
-
-        if isinstance(top, _BrackFrame):
-            self.stack.pop()
-            self._parent_holder().receive(Property("brack", Composite(top.props), top.attrs))
-            return
-
-        if isinstance(top, _StrucFrame):
+            stack[-1].props.append(Property(top.feature, Atomic(text), top.attrs))
+        elif kind == "struc":
             self._flush_alt_run(top)
-            self.stack.pop()
+            stack.pop()
             node = Node(top.props, top.groups, top.children)
-            parent = self.stack[-1] if self.stack else None
-            if parent is None:
-                self.result = node
-            elif isinstance(parent, _DictFrame):
-                parent.roots.append(node)
+            if stack:
+                stack[-1].children.append(node)
             else:
-                assert isinstance(parent, _StrucFrame)
-                parent.children.append(node)
-            return
-
-        if isinstance(top, _DictFrame):
-            self.stack.pop()
-            if len(top.roots) > 1:
-                self.fail(MultipleRoots, f"<dict> holds {len(top.roots)} entry nodes; expected one")
-            if not top.roots:
+                self.result = node
+        elif kind == "alt":
+            stack.pop()
+            if top.props:
+                stack[-1].alt_run.append(tuple(top.props))
+            else:
+                self.warn("empty <alt> dropped")
+        elif kind == "brack":
+            stack.pop()
+            stack[-1].props.append(Property("brack", Composite(top.props), top.attrs))
+        else:  # dict
+            stack.pop()
+            if len(top.children) > 1:
+                self.fail(MultipleRoots, f"<dict> holds {len(top.children)} entry nodes; expected one")
+            if not top.children:
                 self.fail(ParseError, "<dict> holds no entry node (<struc>)")
-            self.result = top.roots[0]
-            return
-
-        raise AssertionError(f"unhandled frame {top!r}")
-
-    def _parent_holder(self) -> _PropertyHolder:
-        holder = self.stack[-1]
-        assert isinstance(holder, _PropertyHolder)
-        return holder
+            self.result = top.children[0]
 
     def chardata(self, data: str) -> None:
         if self.skip_depth:
             return
-        top = self.stack[-1] if self.stack else None
-        if isinstance(top, _BaseFrame):
+        top = self.stack[-1]  # expat reports no text outside the document element
+        if not top.kind:
             top.chunks.append(data)
-        elif data.strip() and id(top) not in self.warned_text_frames:
-            self.warned_text_frames.add(id(top))
+        elif not top.warned_text and data.strip():
+            top.warned_text = True
             self.warn("stray text inside a structural element; ignored")
 
     def parse(self, document: bytes | str) -> tuple[Node, list[ParseDiagnostic]]:
@@ -427,13 +336,6 @@ def _attr_string(attrs: tuple[tuple[str, str], ...]) -> str:
     return "".join(f' {name}="{_escape_attr(value)}"' for name, value in attrs)
 
 
-def _tag_line(name: str, attrs: tuple[tuple[str, str], ...], text: str) -> str:
-    head = f"{name}{_attr_string(attrs)}"
-    if text:
-        return f"<{head}>{_escape_text(text)}</{name}>"
-    return f"<{head}/>"
-
-
 def _emit_property(prop: Property, profile: EncodingProfile, lines: list[str], indent: str) -> None:
     if isinstance(prop.value, Composite):
         if prop.feature != "brack":
@@ -460,26 +362,8 @@ def _emit_atomic(prop: Property, profile: EncodingProfile, lines: list[str], ind
         raise UnknownFeature(prop.feature)
     assert isinstance(prop.value, Atomic)
     text = unicodedata.normalize("NFC", prop.value.text)
-    lines.append(indent + _tag_line(prop.feature, prop.attrs, text))
-
-
-def _emit_node(node: Node, profile: EncodingProfile, lines: list[str], indent: str) -> None:
-    if not (node.properties or node.alt_groups or node.children):
-        lines.append(f"{indent}<struc/>")
-        return
-    lines.append(f"{indent}<struc>")
-    inner = indent + "  "
-    for prop in node.properties:
-        _emit_property(prop, profile, lines, inner)
-    for group in node.alt_groups:
-        for alternative in group.alternatives:
-            lines.append(f"{inner}<alt>")
-            for prop in alternative:
-                _emit_property(prop, profile, lines, inner + "  ")
-            lines.append(f"{inner}</alt>")
-    for child in node.children:
-        _emit_node(child, profile, lines, inner)
-    lines.append(f"{indent}</struc>")
+    head = f"{indent}<{prop.feature}{_attr_string(prop.attrs)}"
+    lines.append(f"{head}>{_escape_text(text)}</{prop.feature}>" if text else f"{head}/>")
 
 
 def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> bytes:
@@ -489,6 +373,32 @@ def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> b
     allowed). Node layout is properties, then alternatives, then children.
     """
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<dict>"]
-    _emit_node(root, profile, lines, "  ")
+    # pending work, last first: a (node, indent) to open or a closing tag to write
+    stack: list[tuple[Node, str] | str] = [(root, "  ")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, indent = item
+        if not (node.properties or node.alt_groups or node.children):
+            lines.append(f"{indent}<struc/>")
+            continue
+        lines.append(f"{indent}<struc>")
+        inner = indent + "  "
+        for prop in node.properties:
+            _emit_property(prop, profile, lines, inner)
+        for group in node.alt_groups:
+            for alternative in group.alternatives:
+                lines.append(f"{inner}<alt>")
+                for prop in alternative:
+                    _emit_property(prop, profile, lines, inner + "  ")
+                lines.append(f"{inner}</alt>")
+        if node.children:
+            stack.append(f"{indent}</struc>")
+            for child in reversed(node.children):
+                stack.append((child, inner))
+        else:
+            lines.append(f"{indent}</struc>")
     lines.append("</dict>")
     return ("\n".join(lines) + "\n").encode("utf-8")

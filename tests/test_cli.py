@@ -314,6 +314,19 @@ def test_bad_rules_file_is_semantic_failure(capsys, tmp_path):
     assert "broken.rules" in err
 
 
+@pytest.mark.parametrize("via_env", [False, True])
+def test_missing_rules_file_is_bad_argument(capsys, monkeypatch, tmp_path, via_env):
+    missing = tmp_path / "missing.rules"
+    if via_env:
+        monkeypatch.setenv("LEXITREE_RULES", str(missing))
+        code, out, err = run(capsys, "validate", FIXTURES / "leaf.xml")
+    else:
+        code, out, err = run(capsys, "validate", FIXTURES / "leaf.xml", "--rules", missing)
+    assert (code, out) == (1, "")
+    assert err.startswith("lexitree: ") and "missing.rules" in err
+    assert "Traceback" not in err
+
+
 def test_parse_warnings_go_to_stderr_payload_to_stdout(capsys, tmp_path):
     doc = tmp_path / "extra.xml"
     doc.write_bytes(b"<struc><orth>x</orth><sensenum>1</sensenum></struc>")
@@ -348,11 +361,31 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
         (leaf,) = leaf.children
     assert [str(p.feature) for p in leaf.properties] == ["orth", "def", "pos", "gen", "ex"]
     assert extract_table(tree, TableSpec(["orth", "pos", "gen"]), registry) == [("deep", "noun", "m")]
+    # Bytes, not trees: Node equality itself recurses.
+    lines = ['<?xml version="1.0" encoding="utf-8"?>', "<dict>", "  <struc>", "    <orth>deep</orth>", "    <def>d</def>"]
+    for i in range(depth):
+        pad = "  " * (i + 2)
+        lines.append(f"{pad}<struc>")
+        lines += [f"{pad}  <pos>noun</pos>", f"{pad}  <gen>m</gen>"] if i % 2 else [f"{pad}  <pos>verb</pos>"]
+        lines.append(f"{pad}  <ex>e{i}</ex>")
+    lines += [f"{'  ' * level}</struc>" for level in range(depth + 1, 0, -1)] + ["</dict>"]
+    canonical = "\n".join(lines) + "\n"
+    assert serialize_entry(tree) == canonical.encode()
+    assert serialize_entry(expand_alternatives(tree)) == canonical.encode()
     code, out, _ = run(capsys, "validate", doc)
     assert (code, out) == (0, "OK\n")
     code, out, _ = run(capsys, "traversals", doc, "--full")
     assert code == 0
     assert out.splitlines()[1:] == ["orth : deep", "def : d", "pos : noun", "gen : m", "ex : e1199"]
+    code, out, _ = run(capsys, "expand", doc)
+    assert (code, out) == (0, canonical)
+    code, out, _ = run(capsys, "materialize", doc)
+    assert code == 0
+    assert out.encode() == serialize_entry(materialize_inheritance(tree, registry))
+    pad = "  " * (depth + 2)
+    assert out.splitlines()[-depth - 7 : -depth - 2] == [  # the deepest node, before its closing tags
+        f"{pad}<orth>deep</orth>", f"{pad}<def>d</def>", f"{pad}<pos>noun</pos>", f"{pad}<gen>m</gen>", f"{pad}<ex>e1199</ex>"
+    ]
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from conftest import P, fixture_bytes
 from treegen import XML_PROFILE, xml_trees
@@ -17,6 +18,8 @@ from lexitree.xmlio import (
     parse_entry,
     serialize_entry,
 )
+
+STRICT = EncodingProfile(DEFAULT_PROFILE.base_elements, strict=True)
 
 # ---------------------------------------------------------------------------
 # Parsing the worked entries
@@ -144,6 +147,44 @@ def test_struc_inside_brack_skipped_when_lenient():
         parse_entry(data, strict)
 
 
+# Each refused (open element, child) pair: the document with the child in
+# place, the same document without it, and the refusal message.
+_REFUSALS = [
+    (f"<dict>{{}}<struc><orth>x</orth></struc></dict>", "<dict><struc><orth>x</orth></struc></dict>", child,
+     f"unexpected <{child}> directly inside <dict>")
+    for child in ("orth", "alt", "brack", "dict")
+] + [
+    ("<struc><orth>x</orth>{}</struc>", "<struc><orth>x</orth></struc>", "dict", "nested <dict> is not allowed"),
+] + [
+    ("<struc><alt><pos>n</pos>{}</alt><alt><pos>v</pos></alt></struc>",
+     "<struc><alt><pos>n</pos></alt><alt><pos>v</pos></alt></struc>", child, f"<{child}> is not allowed inside <alt>")
+    for child in ("struc", "alt", "dict")
+] + [
+    ("<struc><brack><ex>e</ex>{}</brack></struc>", "<struc><brack><ex>e</ex></brack></struc>", child,
+     f"<{child}> is not allowed inside <brack>; only one level of feature elements")
+    for child in ("struc", "alt", "brack", "dict")
+]
+
+
+@pytest.mark.parametrize("template, without, child, message", _REFUSALS)
+def test_refused_child_is_skipped_when_lenient_and_fatal_when_strict(template, without, child, message):
+    document = template.format(f'<{child} n="1"><orth>y</orth><struc/></{child}>').encode()
+    tree, diagnostics = parse_entry(document)
+    assert [(d.severity, d.message) for d in diagnostics] == [("warning", f"{message}; skipped")]
+    assert tree == parse_entry(without.encode())[0]
+    with pytest.raises(UnknownElement) as err:
+        parse_entry(document, STRICT)
+    assert err.value.diagnostic.message == message
+
+
+@pytest.mark.parametrize("tag", ["alt", "brack", "orth", "sensenum"])
+@pytest.mark.parametrize("profile", [DEFAULT_PROFILE, STRICT])
+def test_document_element_must_be_dict_or_struc(tag, profile):
+    with pytest.raises(UnknownElement) as err:
+        parse_entry(f"<{tag}><struc/></{tag}>".encode(), profile)
+    assert err.value.diagnostic.message == f"document element must be <dict> or <struc>, not <{tag}>"
+
+
 def test_markup_inside_feature_element_is_flattened():
     tree, diagnostics = parse_entry(b"<struc><def>a <usg>b</usg> c</def></struc>")
     assert tree.properties == (P("def", "a b c"),)
@@ -159,6 +200,11 @@ def test_struc_attributes_dropped_with_warning():
 def test_stray_text_warned_once():
     _, diagnostics = parse_entry(b"<struc>loose words<orth>x</orth>more</struc>")
     assert sum("stray text" in d.message for d in diagnostics) == 1
+
+
+def test_stray_text_warned_once_per_element():
+    _, diagnostics = parse_entry(b"<struc><struc>a</struc><struc>b</struc></struc>")
+    assert [d.message for d in diagnostics] == ["stray text inside a structural element; ignored"] * 2
 
 
 def test_profile_rejects_structural_names_and_empty():
@@ -237,3 +283,44 @@ def test_serialization_is_byte_idempotent(tree):
     once = serialize_entry(tree, XML_PROFILE)
     again, _ = parse_entry(once, XML_PROFILE)
     assert serialize_entry(again, XML_PROFILE) == once
+
+
+_SOUP_TAGS = ("dict", "struc", "alt", "brack", "orth", "gender", "sensenum", "Odd_Name", "x.y")
+
+
+@st.composite
+def tag_soup(draw):
+    """Random nesting of structural, base, unknown and unusable element
+    names, with attributes and text; mostly well-formed, sometimes with a
+    mismatched end tag or truncated."""
+    root = draw(st.sampled_from(("struc", "dict", None)))
+    out, open_tags = ([f"<{root}>"], [root]) if root else ([], [])
+    for _ in range(draw(st.integers(0, 24))):
+        action = draw(st.sampled_from(("open", "open", "empty", "close", "text")))
+        if action in ("open", "empty"):
+            tag = draw(st.sampled_from(_SOUP_TAGS))
+            attrs = draw(st.sampled_from(("", ' n="1"', ' a="x" b="&lt;"')))
+            out.append(f"<{tag}{attrs}/>" if action == "empty" else f"<{tag}{attrs}>")
+            if action == "open":
+                open_tags.append(tag)
+        elif action == "close":
+            mismatch = not open_tags or draw(st.sampled_from([False] * 9 + [True]))
+            out.append(f"</{draw(st.sampled_from(_SOUP_TAGS)) if mismatch else open_tags.pop()}>")
+        else:
+            out.append(draw(st.sampled_from(("x", " ", "a  b", "\n  ", "&amp;", "\u00e9"))))
+    out.extend(f"</{tag}>" for tag in reversed(open_tags))
+    document = "".join(out).encode("utf-8")
+    if draw(st.sampled_from((False, False, False, True))):
+        document = document[: draw(st.integers(0, len(document)))]
+    return document
+
+
+@settings(max_examples=300)
+@given(tag_soup(), st.sampled_from([DEFAULT_PROFILE, STRICT]))
+def test_tag_soup_parses_or_raises_parse_error(document, profile):
+    try:
+        tree, diagnostics = parse_entry(document, profile)
+    except ParseError:
+        return
+    assert isinstance(tree, Node)
+    assert all(d.severity == "warning" for d in diagnostics)
