@@ -122,9 +122,8 @@ def _read_tree(path: str) -> Node:
     return tree
 
 
-def _print_properties(props: Iterable[Property]) -> None:
-    for prop in props:
-        print(f"{str(prop.feature)} : {format_value(prop.value)}")
+def _listing(props: Iterable[Property]) -> str:
+    return "".join(f"{prop.feature} : {format_value(prop.value)}\n" for prop in props)
 
 
 def _cmd_validate(args) -> int:
@@ -142,7 +141,7 @@ def _cmd_validate(args) -> int:
 def _cmd_effective(args) -> int:
     registry = _load_registry(args.rules)
     tree = _read_tree(args.file)
-    _print_properties(effective_set(tree, parse_path(args.path), registry).entries)
+    sys.stdout.write(_listing(effective_set(tree, parse_path(args.path), registry).entries))
     return OK
 
 
@@ -150,15 +149,13 @@ def _cmd_traversals(args) -> int:
     registry = _load_registry(args.rules)
     tree = _read_tree(args.file)
     listed = set(partial_traversals(tree) if args.partial else enumerate_traversals(tree))
-    first = True
-    for path, _, state, _ in _walk(tree, registry):
-        if path not in listed:
-            continue
-        if not first:
-            print()
-        first = False
-        print(format_path(path))
-        _print_properties(_properties(state))
+    # built whole before writing, so a failure partway leaves stdout empty
+    blocks = [
+        f"{format_path(path)}\n{_listing(_properties(state))}"
+        for path, _, state, _ in _walk(tree, registry)
+        if path in listed
+    ]
+    sys.stdout.write("\n".join(blocks))
     return OK
 
 

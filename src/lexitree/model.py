@@ -131,14 +131,15 @@ class Property:
         if isinstance(value, str):
             value = Atomic(value)
         object.__setattr__(self, "value", value)
-        attrs = tuple((str(k), str(v)) for k, v in attrs)
-        names = [k for k, _ in attrs]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate attribute names on {self.feature!r}: {names}")
-        for name in names:
-            if not name or any(c.isspace() for c in name):
-                raise ValueError(f"bad attribute name {name!r} on {self.feature!r}")
-        object.__setattr__(self, "attrs", attrs)
+        if attrs:
+            attrs = tuple((str(k), str(v)) for k, v in attrs)
+            names = [k for k, _ in attrs]
+            if len(names) != len(set(names)):
+                raise ValueError(f"duplicate attribute names on {self.feature!r}: {names}")
+            for name in names:
+                if not name or any(c.isspace() for c in name):
+                    raise ValueError(f"bad attribute name {name!r} on {self.feature!r}")
+        object.__setattr__(self, "attrs", tuple(attrs))
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,59 @@ class Node:
 
     def is_leaf(self) -> bool:
         return not self.children
+
+    # Field-wise equality, hash and repr with the dataclass's semantics, but
+    # computed without recursion: the generated methods recurse once per
+    # level and fail on deep trees.
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if (
+                a.__class__ is not b.__class__
+                or a.properties != b.properties
+                or a.alt_groups != b.alt_groups
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        order = [self]
+        for node in order:  # breadth-first, so every node comes after its parent
+            order.extend(node.children)
+        hashes: dict[int, int] = {}  # id(node) -> hash; the tree keeps every node alive
+        for node in reversed(order):
+            hashes[id(node)] = hash(
+                (node.properties, node.alt_groups, tuple(hashes[id(child)] for child in node.children))
+            )
+        return hashes[id(self)]
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list[Node | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(
+                f"{item.__class__.__qualname__}(properties={item.properties!r}, "
+                f"alt_groups={item.alt_groups!r}, children=("
+            )
+            children = item.children
+            stack.append(",))" if len(children) == 1 else "))")
+            for i in range(len(children) - 1, -1, -1):
+                stack.append(children[i])
+                if i:
+                    stack.append(", ")
+        return "".join(parts)
 
 
 class FeatureClass(Enum):

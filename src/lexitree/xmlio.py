@@ -154,6 +154,9 @@ class _Frame:
     element's text. `flatten` counts the markup open inside a feature element.
     """
 
+    __slots__ = ("kind", "feature", "attrs", "props", "groups", "children", "alt_run", "chunks", "flatten",
+                 "warned_text")
+
     def __init__(self, kind: str, attrs: tuple[tuple[str, str], ...] = (), feature: FeatureName | None = None):
         self.kind = kind
         self.feature = feature
@@ -174,6 +177,7 @@ class _Parser:
         self.stack: list[_Frame] = []
         self.result: Node | None = None
         self.skip_depth = 0
+        self.tags: dict[str, tuple[str, FeatureName | None, str | None]] = {}  # tag -> _resolve(tag)
         self.expat = expat.ParserCreate(encoding=None)
         self.expat.ordered_attributes = True
         self.expat.StartElementHandler = self.start
@@ -189,16 +193,35 @@ class _Parser:
     def fail(self, exc_type: type[ParseError], message: str) -> None:
         raise exc_type(self._diagnostic("error", message))
 
+    def _resolve(self, tag: str) -> tuple[str, FeatureName | None, str | None]:
+        """What an element name means under the profile: its kind, the feature
+        a feature element sets (None for an unusable name), and the warning an
+        unknown feature element draws on every occurrence (None when known)."""
+        if tag in _STRUCTURAL:
+            return tag, None, None
+        try:
+            name = FeatureName(tag)
+        except ValueError:
+            return "", None, f"unknown element <{tag}> is not a usable feature name; skipped"
+        feature = FeatureName(_FEATURE_ALIASES.get(name, name))
+        if name in self.profile.base_elements:
+            return "", feature, None
+        return "", feature, f"unknown element <{tag}> kept as a feature"
+
     def start(self, tag: str, attrs: list[str]) -> None:
         if self.skip_depth:
             self.skip_depth += 1
             return
-        top = self.stack[-1] if self.stack else None
+        stack = self.stack
+        top = stack[-1] if stack else None
         if top is not None and not top.kind:
             top.flatten += 1
             self.warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
             return
-        kind = tag if tag in _STRUCTURAL else ""
+        resolved = self.tags.get(tag)
+        if resolved is None:
+            resolved = self.tags[tag] = self._resolve(tag)
+        kind, feature, unknown = resolved
         allowed, refusal = _CONTENT[top.kind if top is not None else None]
         if kind not in allowed:
             # a wrong document element is fatal; strict mode aborts, lenient skips
@@ -208,37 +231,24 @@ class _Parser:
             self.warn(f"{message}; skipped")
             self.skip_depth = 1
             return
-        if top is not None and top.kind == "struc" and kind != "alt":
+        if top is not None and top.alt_run and kind != "alt":
             self._flush_alt_run(top)
-        if not kind:
-            self._start_feature(tag, attrs)
-        elif kind == "brack":
-            self.stack.append(_Frame(kind, tuple(zip(attrs[::2], attrs[1::2]))))
+        if not kind or kind == "brack":
+            if unknown:
+                if self.profile.strict:
+                    self.fail(UnknownElement, f"unknown element <{tag}>")
+                self.warn(unknown)
+                if feature is None:
+                    self.skip_depth = 1
+                    return
+            stack.append(_Frame(kind, tuple(zip(attrs[::2], attrs[1::2])) if attrs else (), feature))
         else:
             if attrs:
                 self.warn(f"attributes on <{tag}> are not modeled; dropped")
-            self.stack.append(_Frame(kind))
-
-    def _start_feature(self, tag: str, attrs: list[str]) -> None:
-        try:
-            name = FeatureName(tag)
-        except ValueError:
-            name = None
-        if name not in self.profile.base_elements:
-            if self.profile.strict:
-                self.fail(UnknownElement, f"unknown element <{tag}>")
-            if name is None:
-                self.warn(f"unknown element <{tag}> is not a usable feature name; skipped")
-                self.skip_depth = 1
-                return
-            self.warn(f"unknown element <{tag}> kept as a feature")
-        feature = FeatureName(_FEATURE_ALIASES.get(name, name))
-        self.stack.append(_Frame("", tuple(zip(attrs[::2], attrs[1::2])), feature))
+            stack.append(_Frame(kind))
 
     def _flush_alt_run(self, frame: _Frame) -> None:
         run, frame.alt_run = frame.alt_run, []
-        if not run:
-            return
         if len(run) == 1:
             self.warn("a lone <alt> is no alternative; its content applies unconditionally")
             frame.props.extend(run[0])
@@ -257,10 +267,12 @@ class _Parser:
                 top.flatten -= 1
                 return
             stack.pop()
-            text = _collapse("".join(top.chunks))
+            chunks = top.chunks
+            text = _collapse(chunks[0] if len(chunks) == 1 else "".join(chunks))
             stack[-1].props.append(Property(top.feature, Atomic(text), top.attrs))
         elif kind == "struc":
-            self._flush_alt_run(top)
+            if top.alt_run:
+                self._flush_alt_run(top)
             stack.pop()
             node = Node(top.props, top.groups, top.children)
             if stack:
@@ -336,7 +348,13 @@ def _attr_string(attrs: tuple[tuple[str, str], ...]) -> str:
     return "".join(f' {name}="{_escape_attr(value)}"' for name, value in attrs)
 
 
-def _emit_property(prop: Property, profile: EncodingProfile, lines: list[str], indent: str) -> None:
+def _emit_property(
+    prop: Property, profile: EncodingProfile, elements: dict[int, str], lines: list[str], indent: str
+) -> None:
+    element = elements.get(id(prop))
+    if element is not None:
+        lines.append(indent + element)
+        return
     if isinstance(prop.value, Composite):
         if prop.feature != "brack":
             raise SerializeError(
@@ -349,21 +367,27 @@ def _emit_property(prop: Property, profile: EncodingProfile, lines: list[str], i
         for inner in prop.value.properties:
             if isinstance(inner.value, Composite):
                 raise SerializeError("brack holds feature elements one level deep, nothing deeper")
-            _emit_atomic(inner, profile, lines, indent + "  ")
+            lines.append(indent + "  " + _atomic_element(inner, profile, elements))
         lines.append(f"{indent}</brack>")
         return
     if prop.feature == "brack":
         raise SerializeError("'brack' must hold a bundle of properties, not plain text")
-    _emit_atomic(prop, profile, lines, indent)
+    lines.append(indent + _atomic_element(prop, profile, elements))
 
 
-def _emit_atomic(prop: Property, profile: EncodingProfile, lines: list[str], indent: str) -> None:
-    if prop.feature not in profile.base_elements:
-        raise UnknownFeature(prop.feature)
-    assert isinstance(prop.value, Atomic)
-    text = unicodedata.normalize("NFC", prop.value.text)
-    head = f"{indent}<{prop.feature}{_attr_string(prop.attrs)}"
-    lines.append(f"{head}>{_escape_text(text)}</{prop.feature}>" if text else f"{head}/>")
+def _atomic_element(prop: Property, profile: EncodingProfile, elements: dict[int, str]) -> str:
+    """The one-line element of an atomic property, built once per call and
+    kept in `elements` by id: nodes share inherited Property objects, and the
+    tree keeps every one alive while it is written."""
+    element = elements.get(id(prop))
+    if element is None:
+        if prop.feature not in profile.base_elements:
+            raise UnknownFeature(prop.feature)
+        assert isinstance(prop.value, Atomic)
+        text = unicodedata.normalize("NFC", prop.value.text)
+        head = f"<{prop.feature}{_attr_string(prop.attrs)}"
+        element = elements[id(prop)] = f"{head}>{_escape_text(text)}</{prop.feature}>" if text else f"{head}/>"
+    return element
 
 
 def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> bytes:
@@ -373,6 +397,7 @@ def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> b
     allowed). Node layout is properties, then alternatives, then children.
     """
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<dict>"]
+    elements: dict[int, str] = {}  # id(atomic property) -> its element; see _atomic_element
     # pending work, last first: a (node, indent) to open or a closing tag to write
     stack: list[tuple[Node, str] | str] = [(root, "  ")]
     while stack:
@@ -387,12 +412,12 @@ def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> b
         lines.append(f"{indent}<struc>")
         inner = indent + "  "
         for prop in node.properties:
-            _emit_property(prop, profile, lines, inner)
+            _emit_property(prop, profile, elements, lines, inner)
         for group in node.alt_groups:
             for alternative in group.alternatives:
                 lines.append(f"{inner}<alt>")
                 for prop in alternative:
-                    _emit_property(prop, profile, lines, inner + "  ")
+                    _emit_property(prop, profile, elements, lines, inner + "  ")
                 lines.append(f"{inner}</alt>")
         if node.children:
             stack.append(f"{indent}</struc>")
@@ -400,5 +425,5 @@ def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> b
                 stack.append((child, inner))
         else:
             lines.append(f"{indent}</struc>")
-    lines.append("</dict>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines.append("</dict>\n")
+    return "\n".join(lines).encode("utf-8")

@@ -3,10 +3,10 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, fixture_bytes
+from conftest import FIXTURES, P, fixture_bytes
 
 from lexitree.cli import main, parse_path
-from lexitree.model import check_consistency
+from lexitree.model import Node, check_consistency
 from lexitree.rules import default_registry, default_rules_text
 from lexitree.transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance
 from lexitree.rules import parse_rules
@@ -148,6 +148,19 @@ def test_traversals_hint_on_unexpanded_alternatives(capsys):
     assert code == 1
     assert out == ""
     assert "expand" in err
+
+
+def test_traversals_failing_partway_leaves_stdout_empty(capsys, tmp_path):
+    # The third node in document order doubles pos; the first two are listable.
+    doc = tmp_path / "doubled.xml"
+    doc.write_text(
+        "<struc><orth>a</orth><struc><pos>noun</pos></struc>"
+        "<struc><pos>noun</pos><pos>verb</pos></struc></struc>",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "traversals", doc, "--partial")
+    assert (code, out) == (1, "")
+    assert "overwriting feature 'pos'" in err
 
 
 def test_traversals_after_expansion_one_block_per_leaf(capsys, tmp_path):
@@ -354,6 +367,12 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
     doc = tmp_path / "deep.xml"
     doc.write_text(f"<struc><orth>deep</orth><def>d</def>{levels}{'</struc>' * (depth + 1)}", encoding="utf-8")
     tree, _ = parse_entry(doc.read_bytes())
+    chain = []
+    for i in reversed(range(depth)):
+        props = [P("pos", "noun"), P("gen", "m")] if i % 2 else [P("pos", "verb")]
+        chain = [Node(props + [P("ex", f"e{i}")], children=chain)]
+    expected = Node([P("orth", "deep"), P("def", "d")], children=chain)
+    assert tree == expected
     registry = default_registry()
     assert check_consistency(tree, registry) == []
     leaf = materialize_inheritance(tree, registry)
@@ -361,7 +380,6 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
         (leaf,) = leaf.children
     assert [str(p.feature) for p in leaf.properties] == ["orth", "def", "pos", "gen", "ex"]
     assert extract_table(tree, TableSpec(["orth", "pos", "gen"]), registry) == [("deep", "noun", "m")]
-    # Bytes, not trees: Node equality itself recurses.
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<dict>", "  <struc>", "    <orth>deep</orth>", "    <def>d</def>"]
     for i in range(depth):
         pad = "  " * (i + 2)
@@ -371,7 +389,7 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
     lines += [f"{'  ' * level}</struc>" for level in range(depth + 1, 0, -1)] + ["</dict>"]
     canonical = "\n".join(lines) + "\n"
     assert serialize_entry(tree) == canonical.encode()
-    assert serialize_entry(expand_alternatives(tree)) == canonical.encode()
+    assert expand_alternatives(tree) == tree
     code, out, _ = run(capsys, "validate", doc)
     assert (code, out) == (0, "OK\n")
     code, out, _ = run(capsys, "traversals", doc, "--full")
@@ -382,6 +400,7 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
     code, out, _ = run(capsys, "materialize", doc)
     assert code == 0
     assert out.encode() == serialize_entry(materialize_inheritance(tree, registry))
+    assert parse_entry(out.encode())[0] == materialize_inheritance(tree, registry)
     pad = "  " * (depth + 2)
     assert out.splitlines()[-depth - 7 : -depth - 2] == [  # the deepest node, before its closing tags
         f"{pad}<orth>deep</orth>", f"{pad}<def>d</def>", f"{pad}<pos>noun</pos>", f"{pad}<gen>m</gen>", f"{pad}<ex>e1199</ex>"

@@ -64,6 +64,49 @@ def test_alt_group_needs_two_nonempty_alternatives():
         AltGroup([[P("pos", "n")], []])
 
 
+def test_property_attrs_are_normalized_to_string_pairs():
+    assert Property("xr", "x", [("n", 1)]).attrs == (("n", "1"),)
+    assert Property("xr", "x", iter([])).attrs == ()
+    assert Property("xr", "x", []).attrs == ()
+
+
+def _chain(depth, leaf_text="leaf"):
+    node = Node([P("ex", leaf_text)])
+    for i in range(depth):
+        node = Node([P("ex", f"e{i}")], children=[node])
+    return node
+
+
+def test_node_equality_hash_and_repr_are_field_wise():
+    pair = AltGroup([[P("pos", "n")], [P("pos", "v")]])
+    tree = Node([P("orth", "x")], [pair], [Node(), Node([P("xr", "y", n="1")], children=[Node()])])
+    same = Node([P("orth", "x")], [pair], [Node(), Node([P("xr", "y", n="1")], children=[Node()])])
+    assert tree == same and hash(tree) == hash(same)
+    assert tree != Node([P("orth", "x")], [pair], [Node(), Node([P("xr", "y", n="1")])])
+    assert tree != Node([P("orth", "x")], [], tree.children)
+    assert tree != "tree"
+    assert repr(Node()) == "Node(properties=(), alt_groups=(), children=())"
+    assert repr(Node(children=[Node()])) == (
+        "Node(properties=(), alt_groups=(), children=(Node(properties=(), alt_groups=(), children=()),))"
+    )
+    assert repr(tree) == (
+        f"Node(properties={tree.properties!r}, alt_groups={tree.alt_groups!r}, children=("
+        "Node(properties=(), alt_groups=(), children=()), "
+        f"Node(properties={tree.children[1].properties!r}, alt_groups=(), children=("
+        "Node(properties=(), alt_groups=(), children=()),))))"
+    )
+
+
+def test_node_equality_hash_and_repr_run_on_deep_trees():
+    # Deeper than the interpreter's recursion limit.
+    deep, again = _chain(1200), _chain(1200)
+    assert deep == again and hash(deep) == hash(again)
+    assert deep != _chain(1200, "other") and deep != _chain(1199)
+    text = repr(deep)
+    assert text.startswith("Node(properties=(Property(feature='ex', value=Atomic(text='e1199')")
+    assert text.count("Node(") == 1201 and text.endswith("children=())" + ",))" * 1200)
+
+
 def test_registry_rejects_non_overwriting_governor():
     with pytest.raises(ValueError):
         FeatureClassRegistry({"gen": FeatureClass.LOCAL}, [DependencyRule("x", "gen", "n")])

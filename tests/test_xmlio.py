@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from conftest import P, fixture_bytes
 from treegen import XML_PROFILE, xml_trees
 
-from lexitree.model import Atomic, Composite, Node, Property
+from lexitree.model import AltGroup, Atomic, Composite, Node, Property
+from lexitree.transform import materialize_inheritance
 from lexitree.xmlio import (
     DEFAULT_PROFILE,
     EncodingProfile,
@@ -207,6 +208,40 @@ def test_stray_text_warned_once_per_element():
     assert [d.message for d in diagnostics] == ["stray text inside a structural element; ignored"] * 2
 
 
+# Every warning kind the parser emits, with the position expat reports for
+# it: the start of the element, or of the text chunk, that triggered it.
+_WARNINGS = [
+    (b"<struc>\n<orth>x</orth> loose\n</struc>",
+     [(2, 15, "stray text inside a structural element; ignored")]),
+    (b"<struc>\n  <def>a <usg>b</usg> c</def>\n</struc>",
+     [(2, 10, "element <usg> inside a feature element; its text is kept, markup dropped")]),
+    (b"<struc>\n  <brack>\n    <struc/>\n  </brack>\n</struc>",
+     [(3, 5, "<struc> is not allowed inside <brack>; only one level of feature elements; skipped")]),
+    (b"<struc>\n  <sensenum>1</sensenum>\n  <sensenum>2</sensenum>\n</struc>",
+     [(2, 3, "unknown element <sensenum> kept as a feature"),
+      (3, 3, "unknown element <sensenum> kept as a feature")]),
+    (b"<struc>\n  <x.y>1</x.y>\n  <x.y>2</x.y>\n</struc>",
+     [(2, 3, "unknown element <x.y> is not a usable feature name; skipped"),
+      (3, 3, "unknown element <x.y> is not a usable feature name; skipped")]),
+    (b'<struc a="1">\n  <alt n="2"><pos>n</pos></alt>\n</struc>',
+     [(1, 1, "attributes on <struc> are not modeled; dropped"),
+      (2, 3, "attributes on <alt> are not modeled; dropped"),
+      (3, 1, "a lone <alt> is no alternative; its content applies unconditionally")]),
+    (b"<struc>\n  <alt><pos>n</pos></alt>\n  <orth>x</orth>\n</struc>",
+     [(3, 3, "a lone <alt> is no alternative; its content applies unconditionally")]),
+    (b"<struc>\n  <alt></alt>\n</struc>",
+     [(2, 8, "empty <alt> dropped")]),
+]
+
+
+@pytest.mark.parametrize("document, expected", _WARNINGS)
+def test_warning_kinds_are_pinned_with_positions(document, expected):
+    _, diagnostics = parse_entry(document)
+    assert [(d.severity, d.line, d.column, d.message) for d in diagnostics] == [
+        ("warning", *item) for item in expected
+    ]
+
+
 def test_profile_rejects_structural_names_and_empty():
     with pytest.raises(ValueError):
         EncodingProfile(["orth", "struc"])
@@ -258,6 +293,58 @@ def test_serialize_rejects_out_of_encoding_values():
         serialize_entry(Node([Property("brack", Atomic("text"))]))
     with pytest.raises(SerializeError):
         serialize_entry(Node([Property("brack", Composite([P("brack", [P("ex", "x")])]))]))
+
+
+def _unshared(node):
+    """A copy of the tree in which no two places hold the same Property object."""
+
+    def copy(prop):
+        if isinstance(prop.value, Composite):
+            return Property(prop.feature, Composite([copy(p) for p in prop.value.properties]), prop.attrs)
+        return Property(prop.feature, Atomic(prop.value.text), prop.attrs)
+
+    return Node(
+        [copy(p) for p in node.properties],
+        [AltGroup([[copy(p) for p in alt] for alt in g.alternatives]) for g in node.alt_groups],
+        [_unshared(c) for c in node.children],
+    )
+
+
+def _places(node):
+    """Every property reachable in the tree, inside bracks and alternatives too."""
+    props = list(node.properties) + [p for g in node.alt_groups for alt in g.alternatives for p in alt]
+    props += [inner for p in props if isinstance(p.value, Composite) for inner in p.value.properties]
+    return props + [p for c in node.children for p in _places(c)]
+
+
+def test_shared_properties_serialize_like_unshared_ones(gendarme, registry):
+    materialized = materialize_inheritance(gendarme, registry)
+    xr = P("xr", "b", type="see")
+    brack = P("brack", [P("ex", "e\u0301"), xr])
+    pair = AltGroup([[brack, xr], [P("pos", "n")]])
+    shared = Node([xr, brack], [pair], [Node([brack, xr]), Node([xr], [pair]), materialized])
+    for tree in (materialized, shared):
+        places = _places(tree)
+        assert len({id(p) for p in places}) < len(places)  # the tree does share objects
+        copy = _unshared(tree)
+        assert copy == tree and len({id(p) for p in _places(copy)}) == len(_places(copy))
+        assert serialize_entry(tree) == serialize_entry(copy)
+        assert serialize_entry(parse_entry(serialize_entry(tree))[0]) == serialize_entry(tree)
+
+
+def test_shared_property_without_base_element_still_refused():
+    unknown = Property("nonsuch", "x")
+    with pytest.raises(UnknownFeature) as err:
+        serialize_entry(Node([unknown], children=[Node([unknown]), Node([unknown])]))
+    assert err.value.feature == "nonsuch"
+    no_ex = EncodingProfile(DEFAULT_PROFILE.base_elements - {"ex"})
+    ex = P("ex", "e")
+    for tree in (Node([P("orth", "x")], children=[Node([ex]), Node([ex])]),
+                 Node([P("brack", [ex])], children=[Node([ex])])):
+        assert serialize_entry(tree).count(b"<ex>e</ex>") == 2
+        with pytest.raises(UnknownFeature) as err:
+            serialize_entry(tree, no_ex)
+        assert err.value.feature == "ex"
 
 
 def test_escaping_survives_round_trip():
