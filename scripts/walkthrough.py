@@ -15,6 +15,7 @@ from lexitree import (
     enumerate_traversals,
     expand_alternatives,
     extract_table,
+    format_path,
     format_value,
     materialize_inheritance,
     parse_entry,
@@ -34,8 +35,7 @@ def banner(title):
 
 
 def show_effective(tree, path, registry):
-    label = ".".join(map(str, path)) or "(root)"
-    print(f"--- effective set at {label}")
+    print(f"--- effective set at {format_path(path)}")
     for prop in effective_set(tree, path, registry).entries:
         print(f"{str(prop.feature)} : {format_value(prop.value)}")
 

@@ -24,12 +24,14 @@ from .model import (
     check_consistency,
     effective_set,
     enumerate_traversals,
+    format_path,
     format_value,
     partial_traversals,
     resolve_path,
 )
 from .rules import RulesError, default_registry, load_rules, parse_rules
 from .transform import (
+    ExpansionTooLarge,
     TableSpec,
     expand_alternatives,
     extract_table,

@@ -35,6 +35,7 @@ from .model import (
     check_consistency,
     effective_set,
     enumerate_traversals,
+    format_path,
     format_value,
     partial_traversals,
 )
@@ -46,7 +47,7 @@ SEMANTIC = 1
 PARSE_FAILURE = 2
 
 
-class _UsageError(Exception):
+class _UsageError(LexitreeError):
     pass
 
 
@@ -91,10 +92,6 @@ def parse_path(text: str) -> NodePath:
     if any(i < 0 for i in indices):
         raise ValueError(f"bad path {text!r}: indices must be non-negative")
     return indices
-
-
-def format_path(path: NodePath) -> str:
-    return ".".join(str(i) for i in path)
 
 
 def _load_registry(rules_arg: str | None) -> FeatureClassRegistry:
@@ -151,7 +148,7 @@ def _cmd_traversals(args) -> int:
     listed = set(partial_traversals(tree) if args.partial else enumerate_traversals(tree))
     # built whole before writing, so a failure partway leaves stdout empty
     blocks = [
-        f"{format_path(path)}\n{_listing(_properties(state))}"
+        f"{format_path(path) if path else ''}\n{_listing(_properties(state))}"
         for path, _, state, _ in _walk(tree, registry)
         if path in listed
     ]
@@ -196,19 +193,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"lexitree: {exc}", file=sys.stderr)
-        return SEMANTIC
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except LexitreeError as exc:
         hint = " (run: lexitree expand)" if isinstance(exc, UnexpandedAlternatives) else ""
         print(f"lexitree: {exc}{hint}", file=sys.stderr)
         return exc.exit_code
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"lexitree: {exc}", file=sys.stderr)
         return SEMANTIC
 

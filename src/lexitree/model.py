@@ -59,7 +59,7 @@ class PathOutOfRange(LexitreeError):
     def __init__(self, path: Sequence[int], step: int):
         self.path = tuple(path)
         self.step = step
-        super().__init__(f"path {'.'.join(map(str, path)) or '(root)'} invalid at step {step}")
+        super().__init__(f"path {format_path(path)} invalid at step {step}")
 
 
 class UnexpandedAlternatives(LexitreeError):
@@ -67,10 +67,7 @@ class UnexpandedAlternatives(LexitreeError):
 
     def __init__(self, path: NodePath):
         self.path = path
-        super().__init__(
-            f"node {'.'.join(map(str, path)) or '(root)'} still carries alternatives; "
-            "expand them first"
-        )
+        super().__init__(f"node {format_path(path)} still carries alternatives; expand them first")
 
 
 class FeatureName(str):
@@ -183,57 +180,37 @@ class Node:
     def is_leaf(self) -> bool:
         return not self.children
 
-    # Field-wise equality, hash and repr with the dataclass's semantics, but
-    # computed without recursion: the generated methods recurse once per
-    # level and fail on deep trees.
+    # Equality, hash and repr with the dataclass's field-wise semantics, read
+    # off one iter_nodes walk: the generated methods recurse and fail on deep
+    # trees. A tree is fixed by its preorder sequence of (class, properties,
+    # alt_groups, child count); no tree's sequence is a proper prefix of
+    # another's, so zip never stops early on two different trees.
+
+    def _shape(self) -> Iterator[tuple]:
+        return ((n.__class__, n.properties, n.alt_groups, len(n.children)) for _, n in iter_nodes(self))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if (
-                a.__class__ is not b.__class__
-                or a.properties != b.properties
-                or a.alt_groups != b.alt_groups
-                or len(a.children) != len(b.children)
-            ):
-                return False
-            pairs.extend(zip(a.children, b.children))
-        return True
+        return all(a == b for a, b in zip(self._shape(), other._shape()))
 
     def __hash__(self) -> int:
-        order = [self]
-        for node in order:  # breadth-first, so every node comes after its parent
-            order.extend(node.children)
-        hashes: dict[int, int] = {}  # id(node) -> hash; the tree keeps every node alive
-        for node in reversed(order):
-            hashes[id(node)] = hash(
-                (node.properties, node.alt_groups, tuple(hashes[id(child)] for child in node.children))
-            )
-        return hashes[id(self)]
+        return hash(tuple(self._shape()))
 
     def __repr__(self) -> str:
         parts: list[str] = []
-        stack: list[Node | str] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
+        closers: list[str] = []  # the closing text of each node the walk is inside
+        for path, node in iter_nodes(self):
+            while len(closers) > len(path):  # the walk left those nodes' depth
+                parts.append(closers.pop())
+            if path and path[-1]:
+                parts.append(", ")
             parts.append(
-                f"{item.__class__.__qualname__}(properties={item.properties!r}, "
-                f"alt_groups={item.alt_groups!r}, children=("
+                f"{node.__class__.__qualname__}(properties={node.properties!r}, "
+                f"alt_groups={node.alt_groups!r}, children=("
             )
-            children = item.children
-            stack.append(",))" if len(children) == 1 else "))")
-            for i in range(len(children) - 1, -1, -1):
-                stack.append(children[i])
-                if i:
-                    stack.append(", ")
+            closers.append(",))" if len(node.children) == 1 else "))")
+        parts.extend(reversed(closers))
         return "".join(parts)
 
 
@@ -356,9 +333,8 @@ class OverwriteViolation:
     conflicting: FeatureValue
 
     def describe(self) -> str:
-        where = ".".join(map(str, self.path)) or "(root)"
         return (
-            f"{where}: overwriting feature {str(self.feature)!r} appears twice "
+            f"{format_path(self.path)}: overwriting feature {str(self.feature)!r} appears twice "
             f"({format_value(self.existing)!r} vs {format_value(self.conflicting)!r})"
         )
 
@@ -374,9 +350,8 @@ class DependencyViolation:
     actual_value: str
 
     def describe(self) -> str:
-        where = ".".join(map(str, self.path)) or "(root)"
         return (
-            f"{where}: feature {str(self.dependent)!r} requires "
+            f"{format_path(self.path)}: feature {str(self.dependent)!r} requires "
             f"{str(self.governor)!r}={self.required_value!r} but the effective value "
             f"is {self.actual_value!r}"
         )
@@ -418,14 +393,26 @@ def format_value(value: FeatureValue) -> str:
 # ---------------------------------------------------------------------------
 # Tree access
 
-def resolve_path(root: Node, path: Sequence[int]) -> Node:
-    """Follow child indices from the root; raise PathOutOfRange on a bad step."""
+def format_path(path: Sequence[int]) -> str:
+    """Dotted 0-based child indices, or "(root)" for the empty path."""
+    return ".".join(map(str, path)) or "(root)"
+
+
+def _chain(root: Node, path: Sequence[int]) -> list[Node]:
+    """The nodes from the root to the endpoint of `path`, as resolve_path finds it."""
+    chain = [root]
     node = root
     for step, index in enumerate(path):
         if not 0 <= index < len(node.children):
             raise PathOutOfRange(path, step)
         node = node.children[index]
-    return node
+        chain.append(node)
+    return chain
+
+
+def resolve_path(root: Node, path: Sequence[int]) -> Node:
+    """Follow child indices from the root; raise PathOutOfRange on a bad step."""
+    return _chain(root, path)[-1]
 
 
 def iter_nodes(root: Node) -> Iterator[tuple[NodePath, Node]]:
@@ -559,17 +546,9 @@ def effective_set(
     Raises PathOutOfRange for an unresolvable path and OverwriteConflict when
     a visited node doubles up an overwriting feature.
     """
-    chain = [root]
-    node = root
-    for step, index in enumerate(path):
-        if not 0 <= index < len(node.children):
-            raise PathOutOfRange(path, step)
-        node = node.children[index]
-        chain.append(node)
-
     state: _State = {}
     local_keys: list[int] = []
-    for depth, current in enumerate(chain):
+    for depth, current in enumerate(_chain(root, path)):
         for key in local_keys:
             del state[key]
         local_keys = _fold(state, current, depth, registry)

@@ -14,13 +14,27 @@ from typing import Iterable
 from .model import (
     FeatureClassRegistry,
     FeatureName,
+    LexitreeError,
     Node,
     _properties,
     _require_alt_free,
     _walk,
     format_value,
+    iter_nodes,
 )
 from .xmlio import _escape_text
+
+# The most nodes an expanded tree may have. Expansion shares subtrees, but
+# whatever uses its result (writing, materializing) pays for every node.
+MAX_EXPANDED_NODES = 100_000
+
+
+class ExpansionTooLarge(LexitreeError):
+    """Expanding the alternatives would give more than MAX_EXPANDED_NODES nodes."""
+
+    def __init__(self, nodes: int):
+        self.nodes = nodes
+        super().__init__(f"the expansion would have at least {nodes:,} nodes; the limit is {MAX_EXPANDED_NODES:,}")
 
 
 def expand_alternatives(root: Node) -> Node:
@@ -34,20 +48,30 @@ def expand_alternatives(root: Node) -> Node:
 
     A root that itself carries alternatives has nowhere to put siblings, so
     its variants are attached under a fresh property-less root.
+
+    The result's node count is worked out before any of it is built; above
+    MAX_EXPANDED_NODES the expansion raises ExpansionTooLarge.
     """
-    order, stack = [], [root]
-    while stack:  # preorder
-        node = stack.pop()
-        order.append(node)
-        stack.extend(reversed(node.children))
     built: list[list[Node]] = []  # the variants of each expanded subtree
+    sizes: list[int] = []  # the node count of those variants together
+    order = [node for _, node in iter_nodes(root)]  # preorder; the paths are not kept
     for node in reversed(order):  # each node's children are expanded before it
         if not (node.alt_groups or node.children):
             built.append([node])  # a leaf without alternatives stays as it is
+            sizes.append(1)
             continue
         children: list[Node] = []
+        size = 1
         for _ in node.children:
             children += built.pop()
+            size += sizes.pop()
+        for group in node.alt_groups:
+            size *= len(group.alternatives)
+        if node is root and node.alt_groups:
+            size += 1  # the fresh root its variants go under
+        if size > MAX_EXPANDED_NODES:
+            raise ExpansionTooLarge(size)
+        sizes.append(size)
         # a later group's alternative goes ahead of an earlier one's, as if
         # the groups were expanded one at a time
         built.append([

@@ -196,11 +196,13 @@ class _Parser:
     def _resolve(self, tag: str) -> tuple[str, FeatureName | None, str | None]:
         """What an element name means under the profile: its kind, the feature
         a feature element sets (None for an unusable name), and the warning an
-        unknown feature element draws on every occurrence (None when known)."""
-        if tag in _STRUCTURAL:
-            return tag, None, None
+        unknown feature element draws on every occurrence (None when known).
+        Names fold case, structural ones included, as feature names do."""
+        folded = tag.lower()
+        if folded in _STRUCTURAL:
+            return folded, None, None
         try:
-            name = FeatureName(tag)
+            name = FeatureName(folded)
         except ValueError:
             return "", None, f"unknown element <{tag}> is not a usable feature name; skipped"
         feature = FeatureName(_FEATURE_ALIASES.get(name, name))

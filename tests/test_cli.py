@@ -356,6 +356,17 @@ def test_bad_usage_is_exit_one(capsys):
     assert code == 1 and err
 
 
+@pytest.mark.parametrize("command", ["expand", "materialize"])
+def test_expansion_above_the_bound_is_refused(capsys, tmp_path, command):
+    # 18 nested two-way groups: 1.2 KB that would expand to 524,287 nodes.
+    levels = "".join(f"<struc><alt><orth>a{i}</orth></alt><alt><orth>b{i}</orth></alt>" for i in range(18))
+    doc = tmp_path / "nested.xml"
+    doc.write_text(levels + "</struc>" * 18, encoding="utf-8")
+    code, out, err = run(capsys, command, doc)
+    assert (code, out) == (1, "")
+    assert err.startswith("lexitree: the expansion would have at least ")
+
+
 def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
     # Deeper than the interpreter's recursion limit. Odd levels set gen under
     # pos=noun; even levels turn pos to verb, which blocks the inherited gen.

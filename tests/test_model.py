@@ -24,6 +24,7 @@ from lexitree.model import (
     check_consistency,
     effective_set,
     enumerate_traversals,
+    format_path,
     partial_traversals,
     resolve_path,
     values_equal,
@@ -95,6 +96,22 @@ def test_node_equality_hash_and_repr_are_field_wise():
         f"Node(properties={tree.children[1].properties!r}, alt_groups=(), children=("
         "Node(properties=(), alt_groups=(), children=()),))))"
     )
+
+
+def test_node_identity_follows_shape_not_just_preorder_properties():
+    # A sibling after a closed subtree: repr must close the subtree first.
+    tree = Node(children=[Node(children=[Node()]), Node()])
+    same = Node(children=[Node(children=[Node()]), Node()])
+    assert tree == same and hash(tree) == hash(same)
+    leaf = "Node(properties=(), alt_groups=(), children=())"
+    assert repr(tree) == (
+        f"Node(properties=(), alt_groups=(), children=(Node(properties=(), alt_groups=(), children=({leaf},)), {leaf}))"
+    )
+    # Same preorder properties, different shapes.
+    chain, fan = Node(children=[Node(children=[Node()])]), Node(children=[Node(), Node()])
+    assert chain != fan and fan != chain
+    assert tree != Node(children=[Node(children=[Node(), Node()])])
+    assert repr(chain) != repr(fan)
 
 
 def test_node_equality_hash_and_repr_run_on_deep_trees():
@@ -257,6 +274,19 @@ def test_effective_set_bad_path(overdress, registry):
         effective_set(overdress, (2,), registry)
     with pytest.raises(PathOutOfRange):
         effective_set(overdress, (0, 0), registry)
+
+
+@pytest.mark.parametrize("path, step", [((2,), 0), ((0, 0), 1), ((1, 0, 7), 1)])
+def test_bad_path_is_reported_alike_by_resolve_path_and_effective_set(overdress, registry, path, step):
+    for find in (resolve_path, lambda tree, path: effective_set(tree, path, registry)):
+        with pytest.raises(PathOutOfRange) as err:
+            find(overdress, path)
+        assert (err.value.step, str(err.value)) == (step, f"path {format_path(path)} invalid at step {step}")
+
+
+def test_paths_are_written_dotted_or_as_root():
+    assert (format_path(()), format_path((0,)), format_path((0, 12, 3))) == ("(root)", "0", "0.12.3")
+    assert str(UnexpandedAlternatives(())) == "node (root) still carries alternatives; expand them first"
 
 
 def test_effective_set_rejects_doubled_overwriting_feature(registry):

@@ -16,10 +16,13 @@ from lexitree.model import (
     UnexpandedAlternatives,
     effective_set,
     enumerate_traversals,
+    iter_nodes,
     partial_traversals,
 )
 from lexitree.rules import parse_rules
 from lexitree.transform import (
+    MAX_EXPANDED_NODES,
+    ExpansionTooLarge,
     TableSpec,
     expand_alternatives,
     extract_table,
@@ -86,6 +89,37 @@ def test_expand_root_alternatives_get_a_fresh_root():
         (P("orth", "a"), P("pos", "noun")),
         (P("orth", "b"), P("pos", "noun")),
     ]
+
+
+def _nested_pairs(levels: int) -> Node:
+    """`levels` nested nodes, each with one two-way group: the expanded tree
+    has 2 ** (levels + 1) - 1 nodes, the fresh root included."""
+    node = None
+    for i in range(levels):
+        pair = AltGroup([[P("orth", f"a{i}")], [P("orth", f"b{i}")]])
+        node = Node(alt_groups=[pair], children=[node] if node else [])
+    return node
+
+
+def test_expansion_is_counted_before_it_is_built():
+    assert sum(1 for _ in iter_nodes(expand_alternatives(_nested_pairs(15)))) == 2**16 - 1
+    with pytest.raises(ExpansionTooLarge) as err:
+        expand_alternatives(_nested_pairs(18))  # 524,287 nodes
+    assert err.value.exit_code == 1
+    assert f"the limit is {MAX_EXPANDED_NODES:,}" in str(err.value)
+
+
+def test_expansion_exactly_at_the_bound_is_built():
+    # (1 + leaves) nodes per variant, 3 x 3 variants, plus the fresh root.
+    def groups(name):
+        return [AltGroup([[P(name, "1")], [P(name, "2")], [P(name, "3")]])]
+
+    leaves = (MAX_EXPANDED_NODES - 1) // 9 - 1
+    at_bound = Node(alt_groups=groups("orth") + groups("pos"), children=[Node()] * leaves)
+    assert 9 * (1 + leaves) + 1 == MAX_EXPANDED_NODES
+    assert sum(1 for _ in iter_nodes(expand_alternatives(at_bound))) == MAX_EXPANDED_NODES
+    with pytest.raises(ExpansionTooLarge):
+        expand_alternatives(Node(alt_groups=at_bound.alt_groups, children=[Node()] * (leaves + 1)))
 
 
 def test_expand_preserves_attrs(pinna):

@@ -178,12 +178,38 @@ def test_refused_child_is_skipped_when_lenient_and_fatal_when_strict(template, w
     assert err.value.diagnostic.message == message
 
 
-@pytest.mark.parametrize("tag", ["alt", "brack", "orth", "sensenum"])
+@pytest.mark.parametrize("tag", ["alt", "brack", "orth", "sensenum", "Alt", "BRACK"])
 @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, STRICT])
 def test_document_element_must_be_dict_or_struc(tag, profile):
     with pytest.raises(UnknownElement) as err:
         parse_entry(f"<{tag}><struc/></{tag}>".encode(), profile)
     assert err.value.diagnostic.message == f"document element must be <dict> or <struc>, not <{tag}>"
+
+
+_EVERY_STRUCTURAL = (
+    "<dict><struc><orth>a</orth><alt><pos>n</pos></alt><alt><pos>v</pos></alt>"
+    "<brack><gen>m</gen></brack><struc><orth>b</orth></struc></struc></dict>"
+)
+
+
+@pytest.mark.parametrize("tag", ["Dict", "Struc", "Alt", "Brack", "STRUC"])
+@pytest.mark.parametrize("profile", [DEFAULT_PROFILE, STRICT])
+def test_structural_names_fold_case(tag, profile):
+    name = tag.lower()
+    document = _EVERY_STRUCTURAL.replace(f"<{name}>", f"<{tag}>").replace(f"</{name}>", f"</{tag}>")
+    assert tag in document
+    assert parse_entry(document.encode(), profile) == parse_entry(_EVERY_STRUCTURAL.encode(), profile)
+
+
+def test_case_folded_structural_names_keep_their_spelling_in_messages():
+    _, diagnostics = parse_entry(b'<Struc n="1"><Alt><pos>n</pos><Struc/></Alt><alt><pos>v</pos></alt></Struc>')
+    assert [d.message for d in diagnostics] == [
+        "attributes on <Struc> are not modeled; dropped",
+        "<Struc> is not allowed inside <alt>; skipped",
+    ]
+    with pytest.raises(UnknownElement) as err:
+        parse_entry(b"<struc><Brack><ex>e</ex><Alt/></Brack></struc>", STRICT)
+    assert err.value.diagnostic.message == "<Alt> is not allowed inside <brack>; only one level of feature elements"
 
 
 def test_markup_inside_feature_element_is_flattened():
