@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Print the cost per node of each tree-wide operation on a deep chain and
+on a balanced tree.
+
+Each chain level adds a cumulative `def` and a local `ex`, so the state a
+walk carries grows with the depth; every node of the balanced tree (fan-out
+3, depth 9, 29,524 nodes) carries the same two features. An operation that
+is linear in the size of the tree costs about as much per node on the chain
+as on the balanced tree. `materialize_inheritance` writes levels²/2
+properties on a chain, so it runs only on chains of up to 5,000 levels.
+
+Usage: PYTHONPATH=src python scripts/scaling.py [--levels N]
+"""
+
+import argparse
+import time
+
+from lexitree import (
+    Node,
+    Property,
+    TableSpec,
+    check_consistency,
+    default_registry,
+    expand_alternatives,
+    extract_table,
+    materialize_inheritance,
+)
+
+MATERIALIZE_MAX_LEVELS = 5_000
+
+
+def level(i):
+    return [Property("def", f"d{i}"), Property("ex", f"e{i}")]
+
+
+def chain(levels):
+    node = Node(level(levels - 1))
+    for i in reversed(range(levels - 1)):
+        node = Node(level(i), children=[node])
+    return node
+
+
+def balanced(fanout=3, depth=9):
+    # a node's children are one shared subtree, which no walk can tell apart
+    layer = [Node(level(depth))]
+    for d in reversed(range(depth)):
+        layer = [Node(level(d), children=layer * fanout)]
+    return layer[0]
+
+
+def nodes_in(tree):
+    """The node count, without iter_nodes' path tuples, which cost O(depth) each."""
+    count, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack.extend(node.children)
+    return count
+
+
+def operations(tree, twin, registry, with_materialize):
+    spec = TableSpec(["def", "ex"])
+    ops = {
+        "check_consistency": lambda: check_consistency(tree, registry),
+        "extract_table": lambda: extract_table(tree, spec, registry),
+        "expand_alternatives": lambda: expand_alternatives(tree),
+        "==": lambda: tree == twin,
+        "hash()": lambda: hash(tree),
+        "repr": lambda: repr(tree),
+    }
+    if with_materialize:
+        ops["materialize_inheritance"] = lambda: materialize_inheritance(tree, registry)
+    return ops
+
+
+def report(name, make, registry, with_materialize):
+    tree, twin = make(), make()  # built apart, so == compares every property
+    nodes = nodes_in(tree)
+    print(f"{name} ({nodes:,} nodes)")
+    for op, run in operations(tree, twin, registry, with_materialize).items():
+        start = time.perf_counter()
+        run()
+        seconds = time.perf_counter() - start
+        print(f"  {op:<24} {seconds * 1e6 / nodes:9.2f} µs/node  {seconds:8.3f} s")
+    if not with_materialize:
+        print(f"  {'materialize_inheritance':<24} skipped above {MATERIALIZE_MAX_LEVELS:,} levels")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--levels", type=int, default=5_000, help="chain depth (default 5,000)")
+    args = parser.parse_args()
+    if args.levels < 1:
+        parser.error("--levels must be at least 1")
+    registry = default_registry()
+    report("balanced 3^9", balanced, registry, True)
+    report(f"chain of {args.levels:,} levels", lambda: chain(args.levels), registry,
+           args.levels <= MATERIALIZE_MAX_LEVELS)
+
+
+if __name__ == "__main__":
+    main()

@@ -31,10 +31,11 @@ from .model import (
     Property,
     UnexpandedAlternatives,
     _properties,
+    _require_alt_free,
     _walk,
     check_consistency,
     effective_set,
-    enumerate_traversals,
+    enumerate_traversals,  # this and partial_traversals are not called here; bench/commands.py wraps them
     format_path,
     format_value,
     partial_traversals,
@@ -145,12 +146,12 @@ def _cmd_effective(args) -> int:
 def _cmd_traversals(args) -> int:
     registry = _load_registry(args.rules)
     tree = _read_tree(args.file)
-    listed = set(partial_traversals(tree) if args.partial else enumerate_traversals(tree))
+    _require_alt_free(tree)  # alternatives anywhere are refused before any fold can fail
     # built whole before writing, so a failure partway leaves stdout empty
     blocks = [
         f"{format_path(path) if path else ''}\n{_listing(_properties(state))}"
-        for path, _, state, _ in _walk(tree, registry)
-        if path in listed
+        for path, node, state, _ in _walk(tree, registry)
+        if args.partial or not node.children
     ]
     sys.stdout.write("\n".join(blocks))
     return OK

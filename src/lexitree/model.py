@@ -181,13 +181,13 @@ class Node:
         return not self.children
 
     # Equality, hash and repr with the dataclass's field-wise semantics, read
-    # off one iter_nodes walk: the generated methods recurse and fail on deep
+    # off one _preorder walk: the generated methods recurse and fail on deep
     # trees. A tree is fixed by its preorder sequence of (class, properties,
     # alt_groups, child count); no tree's sequence is a proper prefix of
     # another's, so zip never stops early on two different trees.
 
     def _shape(self) -> Iterator[tuple]:
-        return ((n.__class__, n.properties, n.alt_groups, len(n.children)) for _, n in iter_nodes(self))
+        return ((n.__class__, n.properties, n.alt_groups, len(n.children)) for _, _, n in _preorder(self))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -200,10 +200,10 @@ class Node:
     def __repr__(self) -> str:
         parts: list[str] = []
         closers: list[str] = []  # the closing text of each node the walk is inside
-        for path, node in iter_nodes(self):
-            while len(closers) > len(path):  # the walk left those nodes' depth
+        for depth, index, node in _preorder(self):
+            while len(closers) > depth:  # the walk left those nodes' depth
                 parts.append(closers.pop())
-            if path and path[-1]:
+            if index:
                 parts.append(", ")
             parts.append(
                 f"{node.__class__.__qualname__}(properties={node.properties!r}, "
@@ -415,20 +415,31 @@ def resolve_path(root: Node, path: Sequence[int]) -> Node:
     return _chain(root, path)[-1]
 
 
-def iter_nodes(root: Node) -> Iterator[tuple[NodePath, Node]]:
-    """Yield (path, node) pairs in document (preorder) order."""
-    stack: list[tuple[NodePath, Node]] = [((), root)]
+def _preorder(root: Node) -> Iterator[tuple[int, int, Node]]:
+    """Yield (depth, index, node) in document (preorder) order, where `index`
+    is the node's position among its siblings (0 for the root)."""
+    stack: list[tuple[int, int, Node]] = [(0, 0, root)]
     while stack:
-        path, node = stack.pop()
-        yield path, node
+        depth, index, node = stack.pop()
+        yield depth, index, node
         for i in range(len(node.children) - 1, -1, -1):
-            stack.append((path + (i,), node.children[i]))
+            stack.append((depth + 1, i, node.children[i]))
+
+
+def iter_nodes(root: Node) -> Iterator[tuple[NodePath, Node]]:
+    """Yield (path, node) pairs in document (preorder) order. Each path is a
+    fresh tuple, O(depth) per node; a walk that reports no paths reads `_preorder`."""
+    path: list[int] = []
+    for depth, index, node in _preorder(root):
+        if depth:
+            path[depth - 1:] = (index,)
+        yield tuple(path), node
 
 
 def _require_alt_free(root: Node) -> None:
-    for path, node in iter_nodes(root):
-        if node.alt_groups:
-            raise UnexpandedAlternatives(path)
+    for _, _, node in _preorder(root):
+        if node.alt_groups:  # the first such node in document order; only now is a path built
+            raise UnexpandedAlternatives(next(path for path, n in iter_nodes(root) if n.alt_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -499,27 +510,31 @@ def _fold(
 
 def _walk(
     root: Node, registry: FeatureClassRegistry, strict: bool = True
-) -> Iterator[tuple[NodePath, Node, _State, list[tuple[Property, Property]] | None]]:
+) -> Iterator[tuple[list[int], Node, _State, list[tuple[Property, Property]] | None]]:
     """Yield (path, node, state, doubled) for every node in document order.
 
-    Each node is folded once, onto a copy of its parent's state less the
-    parent's local entries; callers only read the state, which the node's
-    children share. When `strict`, alternative groups and doubled overwriting
+    Each node is folded once, onto its parent's state less the parent's local
+    entries; the last child takes that state over, earlier siblings get copies.
+    `path` and `state` are updated in place and hold only until the walk
+    resumes. When `strict`, alternative groups and doubled overwriting
     features raise; otherwise they are left to the caller, doubled ones listed.
     """
-    stack: list[tuple[NodePath, Node, _State, list[int]]] = [((), root, {}, [])]
+    path: list[int] = []
+    stack: list[tuple[int, int, Node, _State, list[int]]] = [(0, 0, root, {}, [])]
     while stack:
-        path, node, inherited, dropped = stack.pop()
+        depth, index, node, state, dropped = stack.pop()
+        if depth:
+            path[depth - 1:] = (index,)
         if strict and node.alt_groups:
-            raise UnexpandedAlternatives(path)
-        state = dict(inherited)
+            raise UnexpandedAlternatives(tuple(path))
         for key in dropped:
             del state[key]
         doubled = None if strict else []
-        local_keys = _fold(state, node, len(path), registry, doubled)
+        local_keys = _fold(state, node, depth, registry, doubled)
         yield path, node, state, doubled
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((path + (i,), node.children[i], state, local_keys))
+        last = len(node.children) - 1
+        for i in range(last, -1, -1):
+            stack.append((depth + 1, i, node.children[i], state if i == last else dict(state), local_keys))
 
 
 def _properties(state: _State) -> list[Property]:
@@ -569,22 +584,16 @@ def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violat
     violations: list[Violation] = []
     for path, node, state, doubled in _walk(root, registry, strict=False):
         for first, second in doubled:
-            violations.append(OverwriteViolation(path, second.feature, first.value, second.value))
+            violations.append(OverwriteViolation(tuple(path), second.feature, first.value, second.value))
         for rule in registry.rules:
             governor = state.get(rule.governor)
             if governor is None or governor[2] == normalize_text(rule.required_value):
                 continue
             for prop in node.properties:
                 if prop.feature == rule.dependent:
-                    violations.append(
-                        DependencyViolation(
-                            path,
-                            rule.dependent,
-                            rule.governor,
-                            rule.required_value,
-                            format_value(governor[0].value),
-                        )
-                    )
+                    violations.append(DependencyViolation(
+                        tuple(path), rule.dependent, rule.governor, rule.required_value, format_value(governor[0].value)
+                    ))
     return violations
 
 

@@ -16,11 +16,11 @@ from .model import (
     FeatureName,
     LexitreeError,
     Node,
+    _preorder,
     _properties,
     _require_alt_free,
     _walk,
     format_value,
-    iter_nodes,
 )
 from .xmlio import _escape_text
 
@@ -54,7 +54,7 @@ def expand_alternatives(root: Node) -> Node:
     """
     built: list[list[Node]] = []  # the variants of each expanded subtree
     sizes: list[int] = []  # the node count of those variants together
-    order = [node for _, node in iter_nodes(root)]  # preorder; the paths are not kept
+    order = [node for _, _, node in _preorder(root)]
     for node in reversed(order):  # each node's children are expanded before it
         if not (node.alt_groups or node.children):
             built.append([node])  # a leaf without alternatives stays as it is

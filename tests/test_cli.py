@@ -1,12 +1,27 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import FIXTURES, P, fixture_bytes
+from treegen import XML_PROFILE, branching_xml_tree_with_rules, rules_text
 
 from lexitree.cli import main, parse_path
-from lexitree.model import Node, check_consistency
+from lexitree.model import (
+    Node,
+    UnexpandedAlternatives,
+    check_consistency,
+    effective_set,
+    enumerate_traversals,
+    format_value,
+    iter_nodes,
+    partial_traversals,
+)
 from lexitree.rules import default_registry, default_rules_text
 from lexitree.transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance
 from lexitree.rules import parse_rules
@@ -161,6 +176,35 @@ def test_traversals_failing_partway_leaves_stdout_empty(capsys, tmp_path):
     code, out, err = run(capsys, "traversals", doc, "--partial")
     assert (code, out) == (1, "")
     assert "overwriting feature 'pos'" in err
+
+
+def test_alternatives_are_reported_before_a_doubled_feature(capsys, tmp_path):
+    # Node 0 doubles pos, node 1 carries alternatives: the commands that need
+    # an expanded tree refuse the alternatives before folding anything, and
+    # validate, which takes any tree, reports the doubled feature.
+    doc = tmp_path / "both.xml"
+    doc.write_text(
+        "<struc><orth>a</orth><struc><pos>noun</pos><pos>verb</pos></struc>"
+        "<struc><alt><pos>noun</pos></alt><alt><pos>verb</pos></alt></struc></struc>",
+        encoding="utf-8",
+    )
+    for argv in (["table", doc, "--cols", "pos"], ["traversals", doc, "--full"], ["traversals", doc, "--partial"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "lexitree: node 1 still carries alternatives; expand them first (run: lexitree expand)\n"
+    tree, _ = parse_entry(doc.read_bytes())
+    registry = default_registry()
+    for operation in (
+        lambda: extract_table(tree, TableSpec(["pos"]), registry),
+        lambda: enumerate_traversals(tree),
+        lambda: partial_traversals(tree),
+    ):
+        with pytest.raises(UnexpandedAlternatives) as caught:
+            operation()
+        assert caught.value.path == (1,)
+    code, out, err = run(capsys, "validate", doc)
+    assert (code, out) == (1, "")
+    assert err == "0: overwriting feature 'pos' appears twice ('noun' vs 'verb')\n"
 
 
 def test_traversals_after_expansion_one_block_per_leaf(capsys, tmp_path):
@@ -451,3 +495,32 @@ def test_effective_on_random_documents_matches_oracle(capsys, tmp_path):
                 for p, _ in oracle_effective_set(tree, path, registry)
             )
             assert out == expected
+
+
+@given(branching_xml_tree_with_rules())
+@settings(max_examples=40, deadline=None)
+def test_each_walk_block_is_the_effective_set_of_its_node(tree_and_registry):
+    # The walk hands a parent's state on to its last child and copies it for
+    # the others; every listed block and table row must still be the node's own set.
+    tree, registry = tree_and_registry
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, rules = Path(tmp) / "entry.xml", Path(tmp) / "entry.rules"
+        doc.write_bytes(serialize_entry(tree, XML_PROFILE))
+        rules.write_text(rules_text(registry), encoding="utf-8")
+
+        def cli(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main([*argv, str(doc), "--rules", str(rules)]) == 0
+            return out.getvalue()
+
+        headers = [".".join(map(str, path)) for path in partial_traversals(tree)]
+        expected = "\n".join(f"{header}\n{cli('effective', '--path', header)}" for header in headers)
+        assert cli("traversals", "--partial") == expected
+    columns = sorted({str(p.feature) for _, node in iter_nodes(tree) for p in node.properties})
+    rows = extract_table(tree, TableSpec(columns), registry)
+    expected = []
+    for path in enumerate_traversals(tree):
+        entries = effective_set(tree, path, registry).entries
+        expected.append(tuple("; ".join(format_value(p.value) for p in entries if p.feature == c) for c in columns))
+    assert rows == expected

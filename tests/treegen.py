@@ -23,6 +23,7 @@ from lexitree.model import (
     OverwriteConflict,
     Property,
     attach_property,
+    iter_nodes,
 )
 from lexitree.xmlio import EncodingProfile
 
@@ -118,3 +119,31 @@ def xml_trees(draw, max_depth: int = 4):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     registry = random_registry(rng, with_rules=False)
     return random_tree(rng, registry, max_depth=max_depth, allow_alts=True, for_xml=True)
+
+
+@st.composite
+def branching_xml_tree_with_rules(draw, max_depth: int = 4):
+    """An XML-bound tree and its registry, redrawn from the seed until the
+    tree has a node with two or more children and a local feature and the
+    registry has a dependency rule: where a walk hands a parent's state on
+    to several children."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        registry = random_registry(rng)
+        tree = random_tree(rng, registry, max_depth=max_depth, for_xml=True)
+        nodes = [node for _, node in iter_nodes(tree)]
+        local = any(
+            registry.classes.get(p.feature, registry.default_class) is FeatureClass.LOCAL
+            for node in nodes
+            for p in node.properties
+        )
+        if registry.rules and local and any(len(node.children) >= 2 for node in nodes):
+            return tree, registry
+
+
+def rules_text(registry: FeatureClassRegistry) -> str:
+    """`registry` as a rules file."""
+    words = {FeatureClass.CUMULATIVE: "cum", FeatureClass.OVERWRITING: "over", FeatureClass.LOCAL: "loc"}
+    lines = [f"class {feature} {words[cls]}" for feature, cls in registry.classes.items()]
+    lines += [f"dep {r.dependent} {r.governor} {r.required_value}" for r in registry.rules]
+    return "\n".join(lines) + "\n"
