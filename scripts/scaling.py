@@ -9,6 +9,11 @@ is linear in the size of the tree costs about as much per node on the chain
 as on the balanced tree. `materialize_inheritance` writes levels²/2
 properties on a chain, so it runs only on chains of up to 5,000 levels.
 
+The last rows time a refusal: the same chain with an alternative group at
+its deepest node, which `extract_table`, `materialize_inheritance` and
+`enumerate_traversals` must refuse with UnexpandedAlternatives. A refusal
+that comes before any fold costs about as much per node as a bare walk.
+
 Usage: PYTHONPATH=src python scripts/scaling.py [--levels N]
 """
 
@@ -16,11 +21,14 @@ import argparse
 import time
 
 from lexitree import (
+    AltGroup,
     Node,
     Property,
     TableSpec,
+    UnexpandedAlternatives,
     check_consistency,
     default_registry,
+    enumerate_traversals,
     expand_alternatives,
     extract_table,
     materialize_inheritance,
@@ -33,8 +41,9 @@ def level(i):
     return [Property("def", f"d{i}"), Property("ex", f"e{i}")]
 
 
-def chain(levels):
-    node = Node(level(levels - 1))
+def chain(levels, alternatives=False):
+    groups = [AltGroup([[Property("pos", "noun")], [Property("pos", "verb")]])] if alternatives else []
+    node = Node(level(levels - 1), groups)
     for i in reversed(range(levels - 1)):
         node = Node(level(i), children=[node])
     return node
@@ -73,6 +82,10 @@ def operations(tree, twin, registry, with_materialize):
     return ops
 
 
+def print_row(op, seconds, nodes):
+    print(f"  {op:<24} {seconds * 1e6 / nodes:9.2f} µs/node  {seconds:8.3f} s")
+
+
 def report(name, make, registry, with_materialize):
     tree, twin = make(), make()  # built apart, so == compares every property
     nodes = nodes_in(tree)
@@ -80,10 +93,26 @@ def report(name, make, registry, with_materialize):
     for op, run in operations(tree, twin, registry, with_materialize).items():
         start = time.perf_counter()
         run()
-        seconds = time.perf_counter() - start
-        print(f"  {op:<24} {seconds * 1e6 / nodes:9.2f} µs/node  {seconds:8.3f} s")
+        print_row(op, time.perf_counter() - start, nodes)
     if not with_materialize:
         print(f"  {'materialize_inheritance':<24} skipped above {MATERIALIZE_MAX_LEVELS:,} levels")
+
+
+def report_refusals(levels, registry):
+    tree = chain(levels, alternatives=True)
+    print(f"refusals: chain of {levels:,} levels, alternatives at the deepest node")
+    for op, run in {
+        "extract_table": lambda: extract_table(tree, TableSpec(["def", "ex"]), registry),
+        "materialize_inheritance": lambda: materialize_inheritance(tree, registry),
+        "enumerate_traversals": lambda: enumerate_traversals(tree),
+    }.items():
+        start = time.perf_counter()
+        try:
+            run()
+        except UnexpandedAlternatives:
+            print_row(op, time.perf_counter() - start, levels)
+        else:
+            raise SystemExit(f"{op} did not refuse a tree with alternatives")
 
 
 def main():
@@ -96,6 +125,7 @@ def main():
     report("balanced 3^9", balanced, registry, True)
     report(f"chain of {args.levels:,} levels", lambda: chain(args.levels), registry,
            args.levels <= MATERIALIZE_MAX_LEVELS)
+    report_refusals(args.levels, registry)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,7 @@ from .model import (
     NodePath,
     Property,
     UnexpandedAlternatives,
-    _properties,
-    _require_alt_free,
-    _walk,
+    _effective_lists,
     check_consistency,
     effective_set,
     enumerate_traversals,  # this and partial_traversals are not called here; bench/commands.py wraps them
@@ -146,12 +144,10 @@ def _cmd_effective(args) -> int:
 def _cmd_traversals(args) -> int:
     registry = _load_registry(args.rules)
     tree = _read_tree(args.file)
-    _require_alt_free(tree)  # alternatives anywhere are refused before any fold can fail
     # built whole before writing, so a failure partway leaves stdout empty
     blocks = [
-        f"{format_path(path) if path else ''}\n{_listing(_properties(state))}"
-        for path, node, state, _ in _walk(tree, registry)
-        if args.partial or not node.children
+        f"{format_path(path) if path else ''}\n{_listing(props)}"
+        for path, _, props in _effective_lists(tree, registry, leaves_only=not args.partial)
     ]
     sys.stdout.write("\n".join(blocks))
     return OK

@@ -437,9 +437,13 @@ def iter_nodes(root: Node) -> Iterator[tuple[NodePath, Node]]:
 
 
 def _require_alt_free(root: Node) -> None:
-    for _, _, node in _preorder(root):
-        if node.alt_groups:  # the first such node in document order; only now is a path built
-            raise UnexpandedAlternatives(next(path for path, n in iter_nodes(root) if n.alt_groups))
+    """Raise UnexpandedAlternatives at the first node in document order that has alternatives."""
+    path: list[int] = []
+    for depth, index, node in _preorder(root):
+        if depth:
+            path[depth - 1:] = (index,)
+        if node.alt_groups:
+            raise UnexpandedAlternatives(tuple(path))
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +512,15 @@ def _fold(
     return local_keys
 
 
-def _walk(
-    root: Node, registry: FeatureClassRegistry, strict: bool = True
-) -> Iterator[tuple[list[int], Node, _State, list[tuple[Property, Property]] | None]]:
-    """Yield (path, node, state, doubled) for every node in document order.
+def _walk(root: Node, registry: FeatureClassRegistry) -> Iterator[tuple[list[int], Node, _State, list]]:
+    """Yield (path, node, state, doubled) for every node in document order,
+    where `doubled` lists the node's doubled overwriting features as `_fold`
+    does. The walk raises nothing and ignores alternative groups.
 
     Each node is folded once, onto its parent's state less the parent's local
     entries; the last child takes that state over, earlier siblings get copies.
     `path` and `state` are updated in place and hold only until the walk
-    resumes. When `strict`, alternative groups and doubled overwriting
-    features raise; otherwise they are left to the caller, doubled ones listed.
+    resumes. Only `check_consistency` and `_effective_lists` read it.
     """
     path: list[int] = []
     stack: list[tuple[int, int, Node, _State, list[int]]] = [(0, 0, root, {}, [])]
@@ -525,11 +528,9 @@ def _walk(
         depth, index, node, state, dropped = stack.pop()
         if depth:
             path[depth - 1:] = (index,)
-        if strict and node.alt_groups:
-            raise UnexpandedAlternatives(tuple(path))
         for key in dropped:
             del state[key]
-        doubled = None if strict else []
+        doubled: list[tuple[Property, Property]] = []
         local_keys = _fold(state, node, depth, registry, doubled)
         yield path, node, state, doubled
         last = len(node.children) - 1
@@ -537,8 +538,19 @@ def _walk(
             stack.append((depth + 1, i, node.children[i], state if i == last else dict(state), local_keys))
 
 
-def _properties(state: _State) -> list[Property]:
-    return [entry[0] for entry in state.values()]
+def _effective_lists(root: Node, registry: FeatureClassRegistry, leaves_only: bool = False) -> Iterator[tuple]:
+    """The strict entry to `_walk`: yield (path, node, properties) for every
+    node, or every leaf when `leaves_only`; `path` holds as in `_walk`, and
+    `properties` is a fresh list of the node's effective set. Alternatives
+    anywhere raise UnexpandedAlternatives before any node is folded, then the
+    first doubled overwriting feature raises OverwriteConflict."""
+    _require_alt_free(root)
+    for path, node, state, doubled in _walk(root, registry):
+        if doubled:
+            first, second = doubled[0]
+            raise OverwriteConflict(second.feature, first.value, second.value)
+        if not (leaves_only and node.children):
+            yield path, node, [entry[0] for entry in state.values()]
 
 
 def effective_set(
@@ -582,7 +594,7 @@ def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violat
     contradict.
     """
     violations: list[Violation] = []
-    for path, node, state, doubled in _walk(root, registry, strict=False):
+    for path, node, state, doubled in _walk(root, registry):
         for first, second in doubled:
             violations.append(OverwriteViolation(tuple(path), second.feature, first.value, second.value))
         for rule in registry.rules:

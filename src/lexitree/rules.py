@@ -7,7 +7,7 @@ Grammar, one directive per line:
 
 Blank lines and lines starting with `#` are ignored. A `dep` governor must
 have been declared `over` on an earlier line; the required value is the rest
-of the line, so it may contain spaces.
+of the line, so it may contain spaces. Feature names fold case.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .model import DependencyRule, FeatureClass, FeatureClassRegistry, LexitreeError
+from .model import DependencyRule, FeatureClass, FeatureClassRegistry, FeatureName, LexitreeError
 
 _CLASS_WORDS = {
     "cum": FeatureClass.CUMULATIVE,
@@ -32,7 +32,7 @@ class RulesError(LexitreeError):
 
 
 def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
-    classes: dict[str, FeatureClass] = {}
+    classes: dict[FeatureName, FeatureClass] = {}
     rules: list[DependencyRule] = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -40,31 +40,31 @@ def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
             continue
         fields = line.split()
         directive = fields[0]
-        if directive == "class":
-            if len(fields) != 3:
-                raise RulesError(source, number, "expected: class <feature> <cum|over|loc>")
-            _, feature, word = fields
-            if word not in _CLASS_WORDS:
-                raise RulesError(source, number, f"unknown class {word!r} (use cum, over, or loc)")
-            if feature in classes:
-                raise RulesError(source, number, f"feature {feature!r} already classified")
-            classes[feature] = _CLASS_WORDS[word]
-        elif directive == "dep":
-            parts = line.split(None, 3)
-            if len(parts) != 4:
-                raise RulesError(source, number, "expected: dep <dependent> <governor> <value>")
-            _, dependent, governor, value = parts
-            if classes.get(governor) is not FeatureClass.OVERWRITING:
-                raise RulesError(
-                    source, number, f"governor {governor!r} must be declared 'over' earlier in the file"
-                )
-            rules.append(DependencyRule(dependent, governor, value))
-        else:
-            raise RulesError(source, number, f"unknown directive {directive!r}")
-    try:
-        return FeatureClassRegistry(classes, rules)
-    except ValueError as exc:
-        raise RulesError(source, 0, str(exc)) from exc
+        try:  # every refusal of a line, a bad feature name included, is reported at that line
+            if directive == "class":
+                if len(fields) != 3:
+                    raise ValueError("expected: class <feature> <cum|over|loc>")
+                _, name, word = fields
+                if word not in _CLASS_WORDS:
+                    raise ValueError(f"unknown class {word!r} (use cum, over, or loc)")
+                feature = FeatureName(name)
+                if feature in classes:
+                    raise ValueError(f"feature {name!r} already classified")
+                classes[feature] = _CLASS_WORDS[word]
+            elif directive == "dep":
+                parts = line.split(None, 3)
+                if len(parts) != 4:
+                    raise ValueError("expected: dep <dependent> <governor> <value>")
+                _, dependent, governor, value = parts
+                rule = DependencyRule(dependent, governor, value)
+                if classes.get(rule.governor) is not FeatureClass.OVERWRITING:
+                    raise ValueError(f"governor {governor!r} must be declared 'over' earlier in the file")
+                rules.append(rule)
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except ValueError as exc:
+            raise RulesError(source, number, str(exc)) from exc
+    return FeatureClassRegistry(classes, rules)
 
 
 def load_rules(path: str | Path) -> FeatureClassRegistry:

@@ -16,10 +16,8 @@ from .model import (
     FeatureName,
     LexitreeError,
     Node,
+    _effective_lists,
     _preorder,
-    _properties,
-    _require_alt_free,
-    _walk,
     format_value,
 )
 from .xmlio import _escape_text
@@ -95,7 +93,7 @@ def materialize_inheritance(root: Node, registry: FeatureClassRegistry) -> Node:
     Running the operation twice changes nothing: re-specified values are
     no-ops and duplicated cumulative values collapse.
     """
-    folded = [(node, _properties(state)) for _, node, state, _ in _walk(root, registry)]
+    folded = [(node, props) for _, node, props in _effective_lists(root, registry)]
     built: list[Node] = []
     for node, props in reversed(folded):  # each node's children are built before it
         children = [built.pop() for _ in node.children]
@@ -123,15 +121,10 @@ class TableSpec:
 def extract_table(root: Node, spec: TableSpec, registry: FeatureClassRegistry) -> list[tuple[str, ...]]:
     """One row per full traversal; a cell holds the column feature's value(s)
     in that traversal's effective set, multiple values joined with "; "."""
-    _require_alt_free(root)  # alternatives anywhere are refused before any fold can fail
-    rows = []
-    for _, node, state, _ in _walk(root, registry):
-        if not node.children:
-            props = _properties(state)
-            rows.append(tuple(
-                "; ".join(format_value(p.value) for p in props if p.feature == column) for column in spec.columns
-            ))
-    return rows
+    return [
+        tuple("; ".join(format_value(p.value) for p in props if p.feature == column) for column in spec.columns)
+        for _, _, props in _effective_lists(root, registry, leaves_only=True)
+    ]
 
 
 def render_tsv(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:

@@ -35,7 +35,6 @@ from .model import (
     Atomic,
     Composite,
     FeatureName,
-    FeatureValue,
     LexitreeError,
     Node,
     Property,

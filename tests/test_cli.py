@@ -13,6 +13,7 @@ from treegen import XML_PROFILE, branching_xml_tree_with_rules, rules_text
 
 from lexitree.cli import main, parse_path
 from lexitree.model import (
+    FeatureClassRegistry,
     Node,
     UnexpandedAlternatives,
     check_consistency,
@@ -179,7 +180,7 @@ def test_traversals_failing_partway_leaves_stdout_empty(capsys, tmp_path):
 
 
 def test_alternatives_are_reported_before_a_doubled_feature(capsys, tmp_path):
-    # Node 0 doubles pos, node 1 carries alternatives: the commands that need
+    # Node 0 doubles pos, node 1 carries alternatives: the operations that need
     # an expanded tree refuse the alternatives before folding anything, and
     # validate, which takes any tree, reports the doubled feature.
     doc = tmp_path / "both.xml"
@@ -196,6 +197,7 @@ def test_alternatives_are_reported_before_a_doubled_feature(capsys, tmp_path):
     registry = default_registry()
     for operation in (
         lambda: extract_table(tree, TableSpec(["pos"]), registry),
+        lambda: materialize_inheritance(tree, registry),
         lambda: enumerate_traversals(tree),
         lambda: partial_traversals(tree),
     ):
@@ -205,6 +207,47 @@ def test_alternatives_are_reported_before_a_doubled_feature(capsys, tmp_path):
     code, out, err = run(capsys, "validate", doc)
     assert (code, out) == (1, "")
     assert err == "0: overwriting feature 'pos' appears twice ('noun' vs 'verb')\n"
+
+
+class _CountingRegistry(FeatureClassRegistry):
+    """Classifies as the default registry does and counts its `classify` calls."""
+
+    def __init__(self):
+        base = default_registry()
+        super().__init__(base.classes, base.rules, base.default_class)
+        object.__setattr__(self, "calls", 0)
+
+    def classify(self, feature):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().classify(feature)
+
+
+def test_alternatives_are_refused_before_any_node_is_folded(capsys, monkeypatch, tmp_path):
+    # A 1,200-level chain with an alternative group at its deepest node only.
+    depth = 1200
+    doc = tmp_path / "deep_alt.xml"
+    doc.write_text(
+        "".join(f"<struc><def>d{i}</def>" for i in range(depth))
+        + "<alt><pos>noun</pos></alt><alt><pos>verb</pos></alt>" + "</struc>" * depth,
+        encoding="utf-8",
+    )
+    tree, _ = parse_entry(doc.read_bytes())
+    for operation in (
+        lambda registry: extract_table(tree, TableSpec(["def"]), registry),
+        lambda registry: materialize_inheritance(tree, registry),
+    ):
+        registry = _CountingRegistry()
+        with pytest.raises(UnexpandedAlternatives) as caught:
+            operation(registry)
+        assert caught.value.path == (0,) * (depth - 1)
+        assert registry.calls == 0
+    registry = _CountingRegistry()
+    monkeypatch.setattr("lexitree.cli._load_registry", lambda _: registry)
+    for which in ("--full", "--partial"):
+        code, out, err = run(capsys, "traversals", doc, which)
+        assert (code, out) == (1, "")
+        assert err.endswith("still carries alternatives; expand them first (run: lexitree expand)\n")
+    assert registry.calls == 0
 
 
 def test_traversals_after_expansion_one_block_per_leaf(capsys, tmp_path):

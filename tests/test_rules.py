@@ -36,6 +36,9 @@ def test_dep_value_may_contain_spaces():
         ("dep gen pos n", "earlier in the file"),
         ("class pos cum\ndep gen pos n", "earlier in the file"),
         ("class pos over\ndep gen pos", "expected: dep"),
+        ("class Bad! cum", "test.rules:1: invalid feature name 'Bad!'"),
+        ("class POS over\nclass pos cum", "test.rules:2: feature 'pos' already classified"),
+        ("class pos over\ndep Bad! pos noun", "test.rules:2: invalid feature name 'Bad!'"),
     ],
 )
 def test_rules_errors_carry_line_and_reason(text, fragment):
@@ -43,6 +46,13 @@ def test_rules_errors_carry_line_and_reason(text, fragment):
         parse_rules(text, source="test.rules")
     assert "test.rules:" in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_rules_feature_names_fold_case():
+    registry = parse_rules("class Pos over\nclass DEF cum\ndep Gen POS noun")
+    assert registry.classify("pos") is FeatureClass.OVERWRITING
+    assert registry.classify("def") is FeatureClass.CUMULATIVE
+    assert registry.rules == (DependencyRule("gen", "pos", "noun"),)
 
 
 def test_load_rules_reads_a_file(tmp_path):
