@@ -17,6 +17,7 @@ overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -55,6 +56,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="lexitree", description="Inspect and transform dictionary entry trees.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,13 +86,10 @@ def _build_parser() -> _ArgumentParser:
 def parse_path(text: str) -> NodePath:
     if not text:
         return ()
-    try:
-        indices = tuple(int(part, 10) for part in text.split("."))
-    except ValueError:
-        raise ValueError(f"bad path {text!r}: expected dotted indices like 0.1.2") from None
-    if any(i < 0 for i in indices):
-        raise ValueError(f"bad path {text!r}: indices must be non-negative")
-    return indices
+    parts = text.split(".")
+    if not all(part.isascii() and part.isdigit() for part in parts):  # int() also takes "+1", " 1", "1_0"
+        raise ValueError(f"bad path {text!r}: expected dotted indices like 0.1.2")
+    return tuple(map(int, parts))
 
 
 def _load_registry(rules_arg: str | None) -> FeatureClassRegistry:
@@ -200,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"lexitree: {exc}", file=sys.stderr)
         return SEMANTIC
+
 
 if __name__ == "__main__":
     raise SystemExit(main())

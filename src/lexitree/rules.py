@@ -12,6 +12,7 @@ of the line, so it may contain spaces. Feature names fold case.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from pathlib import Path
 
@@ -76,7 +77,16 @@ def default_rules_text() -> str:
     return resources.files("lexitree").joinpath("default.rules").read_text(encoding="utf-8")
 
 
+@functools.cache
+def _default_parts() -> tuple:
+    shipped = parse_rules(default_rules_text(), source="<default>")
+    return shipped.classes, shipped.rules
+
+
 def default_registry() -> FeatureClassRegistry:
     """The shipped classifications: orth/etym/pos/gen/pron overwrite, def/domain/time
-    accumulate, ex/xr/brack stay local, and gen is licensed only under pos=noun."""
-    return parse_rules(default_rules_text(), source="<default>")
+    accumulate, ex/xr/brack stay local, and gen is licensed only under pos=noun.
+
+    The shipped file is read and parsed once per process, but each call returns
+    a fresh registry, with its own copy of `classes` and its own warnings."""
+    return FeatureClassRegistry(*_default_parts())

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from conftest import FIXTURES, P, fixture_bytes
 from treegen import XML_PROFILE, branching_xml_tree_with_rules, rules_text
 
-from lexitree.cli import main, parse_path
+from lexitree.cli import _build_parser, main, parse_path
 from lexitree.model import (
     FeatureClassRegistry,
     Node,
@@ -44,8 +45,9 @@ def test_parse_path():
     assert parse_path("0.1.2") == (0, 1, 2)
     with pytest.raises(ValueError):
         parse_path("0.x")
-    with pytest.raises(ValueError):
-        parse_path("-1")
+    for text in ("-1", "1_0", "+0", " 0", "\u0660"):  # int() takes each; U+0660 is Arabic-Indic zero
+        with pytest.raises(ValueError, match="bad path"):
+            parse_path(text)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,8 @@ def test_effective_bad_path_is_semantic_failure(capsys):
     assert code == 1 and "invalid" in err
     code, _, err = run(capsys, "effective", FIXTURES / "leaf.xml", "--path", "a.b")
     assert code == 1 and "bad path" in err
+    code, out, err = run(capsys, "effective", FIXTURES / "gendarme.xml", "--path", "1_0")
+    assert (code, out) == (1, "") and "bad path '1_0'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +507,58 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
     assert out.splitlines()[-depth - 7 : -depth - 2] == [  # the deepest node, before its closing tags
         f"{pad}<orth>deep</orth>", f"{pad}<def>d</def>", f"{pad}<pos>noun</pos>", f"{pad}<gen>m</gen>", f"{pad}<ex>e1199</ex>"
     ]
+
+
+def test_repeated_main_calls_leak_no_state(capsys, monkeypatch, tmp_path):
+    """Each `main` call in one process prints what the same argv prints run
+    alone with `python -m lexitree`, whatever calls came before it."""
+    local = tmp_path / "local.rules"
+    local.write_text(default_rules_text().replace("class orth over", "class orth loc"), encoding="utf-8")
+    overdress = str(FIXTURES / "overdress.xml")
+    effective = ["effective", overdress, "--path", "0"]
+    calls = [  # (argv, LEXITREE_RULES), in order
+        (["table", overdress, "--cols", "orth", "--format", "html"], None),
+        (["table", overdress, "--cols", "orth"], None),
+        (["traversals", overdress, "--partial"], None),
+        (["traversals", overdress], None),
+        (["table", overdress], None),
+        (["validate", overdress], None),
+        ([*effective, "--rules", str(local)], None),
+        (effective, None),
+        (effective, str(local)),
+        (effective, None),
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    results = []
+    for argv, env_rules in calls:
+        env = {k: v for k, v in os.environ.items() if k != "LEXITREE_RULES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if env_rules:
+            env["LEXITREE_RULES"] = env_rules
+            monkeypatch.setenv("LEXITREE_RULES", env_rules)
+        else:
+            monkeypatch.delenv("LEXITREE_RULES", raising=False)
+        alone = subprocess.run([sys.executable, "-m", "lexitree", *argv], capture_output=True, env=env)
+        code, out, err = run(capsys, *argv)
+        assert (code, out.encode(), err.encode()) == (alone.returncode, alone.stdout, alone.stderr), argv
+        results.append((code, out))
+    html, tsv, partial, full, usage, valid, local_arg, default, local_env, unset = results
+    assert html[1].startswith("<table>") and tsv[1] == "orth\noverdress\noverdress\n"
+    assert full == run(capsys, "traversals", overdress, "--full")[:2] != partial
+    assert (usage[0], valid) == (1, (0, "OK\n"))
+    orth_local = "pos : verb\npron : pron1\ndef : To dress (oneself or another) too elaborately or finely\n"
+    assert local_arg == local_env == (0, orth_local)
+    assert default == unset != local_arg and "orth : overdress" in default[1]
+    assert _build_parser() is _build_parser()
+
+
+def test_each_command_warns_of_unregistered_features(caplog, capsys, tmp_path):
+    doc = tmp_path / "register.xml"
+    doc.write_bytes(b"<struc><orth>x</orth><register>formal</register></struc>")
+    with caplog.at_level("WARNING", logger="lexitree.model"):
+        for _ in range(2):
+            assert run(capsys, "validate", doc)[:2] == (0, "OK\n")
+    assert sum("'register' is not registered" in r.message for r in caplog.records) == 2
 
 
 def test_module_entry_point_runs():

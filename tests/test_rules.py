@@ -1,7 +1,7 @@
 import pytest
 
-from lexitree.model import DependencyRule, FeatureClass
-from lexitree.rules import RulesError, default_registry, load_rules, parse_rules
+from lexitree.model import DependencyRule, FeatureClass, FeatureName
+from lexitree.rules import RulesError, default_registry, default_rules_text, load_rules, parse_rules
 
 
 def test_parse_classes_and_dependency():
@@ -79,3 +79,14 @@ def test_default_registry_shipped_classifications():
     }
     assert {str(k): v for k, v in registry.classes.items()} == expected
     assert registry.rules == (DependencyRule("gen", "pos", "noun"),)
+
+
+def test_default_registry_is_fresh_per_call():
+    shipped = parse_rules(default_rules_text(), "<default>")
+    first = default_registry()
+    assert first is not default_registry()
+    assert (first.classes, first.rules) == (shipped.classes, shipped.rules)
+    first.classes[FeatureName("orth")] = FeatureClass.LOCAL
+    second = default_registry()
+    assert (second.classes, second.rules) == (shipped.classes, shipped.rules)
+    assert second.classify("orth") is FeatureClass.OVERWRITING
