@@ -20,14 +20,11 @@ call concurrently.
 
 from __future__ import annotations
 
-import logging
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
-
-log = logging.getLogger(__name__)
 
 NodePath = tuple[int, ...]
 
@@ -86,17 +83,61 @@ class FeatureName(str):
         return super().__new__(cls, folded)
 
 
-@dataclass(frozen=True)
-class Atomic:
+class _Value:
+    """Base of the frozen value types: what `@dataclass(frozen=True)` gave them,
+    without generating code at import. Field-wise `==`, `hash` and `repr` over
+    `_fields`, which the subclass also makes its `__slots__`; no assignment, so
+    constructors and subclasses set attributes through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._get = attrgetter(*cls._fields)  # the field values in one C call; a lone field comes back bare
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._get(self) == other._get(other)
+
+    def __hash__(self) -> int:
+        return hash(self._get(self))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join([f'{n}={getattr(self, n)!r}' for n in self._fields])})"
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> tuple:
+        # the (__dict__, slots) pair object.__reduce_ex__ takes from protocol 2 on;
+        # pickle protocols 0 and 1 read a slotted value's state only from here
+        slots = (n for c in self.__class__.__mro__ for n in c.__dict__.get("__slots__", ()))
+        return getattr(self, "__dict__", None), {n: getattr(self, n) for n in slots if hasattr(self, n)}
+
+    def __setstate__(self, state: tuple) -> None:
+        # copy and pickle restore a value without calling its constructor
+        for part in state:
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+
+class Atomic(_Value):
     """A plain text feature value. Empty text is allowed (empty source element)."""
 
+    __slots__ = _fields = ("text",)
     text: str
 
+    def __init__(self, text: str):
+        object.__setattr__(self, "text", text)
 
-@dataclass(frozen=True)
-class Composite:
+
+class Composite(_Value):
     """A feature value that is itself an ordered list of properties."""
 
+    __slots__ = _fields = ("properties",)
     properties: tuple["Property", ...]
 
     def __init__(self, properties: Iterable["Property"] = ()):
@@ -106,17 +147,17 @@ class Composite:
 FeatureValue = Union[Atomic, Composite]
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(_Value):
     """One feature-value pair, plus carried-verbatim attributes.
 
     Attributes never take part in propagation decisions; they ride along with
     the property wherever it goes.
     """
 
+    __slots__ = _fields = ("feature", "value", "attrs")
     feature: FeatureName
     value: FeatureValue
-    attrs: tuple[tuple[str, str], ...] = ()
+    attrs: tuple[tuple[str, str], ...]
 
     def __init__(
         self,
@@ -139,10 +180,10 @@ class Property:
         object.__setattr__(self, "attrs", tuple(attrs))
 
 
-@dataclass(frozen=True)
-class AltGroup:
+class AltGroup(_Value):
     """Parallel alternatives: at least two, each a nonempty property bundle."""
 
+    __slots__ = _fields = ("alternatives",)
     alternatives: tuple[tuple[Property, ...], ...]
 
     def __init__(self, alternatives: Iterable[Iterable[Property]]):
@@ -154,8 +195,7 @@ class AltGroup:
         object.__setattr__(self, "alternatives", alts)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(_Value):
     """One partition of an entry's lexical space.
 
     A node is a leaf when it has no children. The node-local constraint that
@@ -163,9 +203,10 @@ class Node:
     enforced by attach_property / check_consistency rather than here.
     """
 
-    properties: tuple[Property, ...] = ()
-    alt_groups: tuple[AltGroup, ...] = ()
-    children: tuple["Node", ...] = ()
+    __slots__ = _fields = ("properties", "alt_groups", "children")
+    properties: tuple[Property, ...]
+    alt_groups: tuple[AltGroup, ...]
+    children: tuple["Node", ...]
 
     def __init__(
         self,
@@ -180,11 +221,11 @@ class Node:
     def is_leaf(self) -> bool:
         return not self.children
 
-    # Equality, hash and repr with the dataclass's field-wise semantics, read
-    # off one _preorder walk: the generated methods recurse and fail on deep
-    # trees. A tree is fixed by its preorder sequence of (class, properties,
-    # alt_groups, child count); no tree's sequence is a proper prefix of
-    # another's, so zip never stops early on two different trees.
+    # Equality, hash and repr with _Value's field-wise semantics, read off one
+    # _preorder walk: _Value's own recurse and fail on deep trees. A tree is
+    # fixed by its preorder sequence of (class, properties, alt_groups, child
+    # count); no tree's sequence is a proper prefix of another's, so zip never
+    # stops early on two different trees.
 
     def _shape(self) -> Iterator[tuple]:
         return ((n.__class__, n.properties, n.alt_groups, len(n.children)) for _, _, n in _preorder(self))
@@ -220,14 +261,14 @@ class FeatureClass(Enum):
     LOCAL = "loc"
 
 
-@dataclass(frozen=True)
-class DependencyRule:
+class DependencyRule(_Value):
     """`dependent` is licensed only while `governor` effectively equals `required_value`.
 
     Governors must be overwriting features; the rule blocks inherited values
     of the dependent the moment the governor is overwritten to anything else.
     """
 
+    __slots__ = _fields = ("dependent", "governor", "required_value")
     dependent: FeatureName
     governor: FeatureName
     required_value: str
@@ -238,19 +279,20 @@ class DependencyRule:
         object.__setattr__(self, "required_value", required_value)
 
 
-@dataclass(frozen=True)
-class FeatureClassRegistry:
+class FeatureClassRegistry(_Value):
     """Feature classifications plus dependency rules.
 
     Unregistered features fall back to `default_class` (local by default:
-    the inert choice; a warning is logged the first time such a feature is
-    seen so silently non-propagating data does not go unnoticed).
+    the inert choice; a warning goes to the `lexitree.model` logger the first
+    time such a feature is seen so silently non-propagating data does not go
+    unnoticed). `logging` is imported on that first warning.
     """
 
-    classes: Mapping[FeatureName, FeatureClass] = field(default_factory=dict)
-    rules: tuple[DependencyRule, ...] = ()
-    default_class: FeatureClass = FeatureClass.LOCAL
-    _warned: set = field(default_factory=set, compare=False, repr=False)
+    __slots__ = ("classes", "rules", "default_class", "_warned")
+    _fields = ("classes", "rules", "default_class")  # _warned is neither compared nor shown
+    classes: Mapping[FeatureName, FeatureClass]
+    rules: tuple[DependencyRule, ...]
+    default_class: FeatureClass
 
     def __init__(
         self,
@@ -278,14 +320,14 @@ class FeatureClassRegistry:
             return cls
         if feature not in self._warned:
             self._warned.add(feature)
-            log.warning(
+            import logging  # here, not at the top: importing it slows every process start
+            logging.getLogger(__name__).warning(
                 "feature %r is not registered; treating it as %s", str(feature), self.default_class.value
             )
         return self.default_class
 
 
-@dataclass(frozen=True)
-class EffectiveFeatureSet:
+class EffectiveFeatureSet(_Value):
     """All properties holding at one node along one root-to-node path.
 
     `depths[i]` is the depth (0 = root) of the node that contributed
@@ -294,6 +336,7 @@ class EffectiveFeatureSet:
     endpoint's depth.
     """
 
+    __slots__ = _fields = ("entries", "depths")
     entries: tuple[Property, ...]
     depths: tuple[int, ...]
 
@@ -323,14 +366,18 @@ class EffectiveFeatureSet:
 # Violations reported by check_consistency
 
 
-@dataclass(frozen=True)
-class OverwriteViolation:
+class OverwriteViolation(_Value):
     """Two occurrences of one overwriting feature at a single node."""
 
+    __slots__ = _fields = ("path", "feature", "existing", "conflicting")
     path: NodePath
     feature: FeatureName
     existing: FeatureValue
     conflicting: FeatureValue
+
+    def __init__(self, path: NodePath, feature: FeatureName, existing: FeatureValue, conflicting: FeatureValue):
+        for name, value in zip(self._fields, (path, feature, existing, conflicting)):
+            object.__setattr__(self, name, value)
 
     def describe(self) -> str:
         return (
@@ -339,15 +386,19 @@ class OverwriteViolation:
         )
 
 
-@dataclass(frozen=True)
-class DependencyViolation:
+class DependencyViolation(_Value):
     """A dependent feature attached where its governor's effective value is wrong."""
 
+    __slots__ = _fields = ("path", "dependent", "governor", "required_value", "actual_value")
     path: NodePath
     dependent: FeatureName
     governor: FeatureName
     required_value: str
     actual_value: str
+
+    def __init__(self, path: NodePath, dependent: FeatureName, governor: FeatureName, required_value: str, actual_value: str):
+        for name, value in zip(self._fields, (path, dependent, governor, required_value, actual_value)):
+            object.__setattr__(self, name, value)
 
     def describe(self) -> str:
         return (

@@ -13,7 +13,7 @@ of the line, so it may contain spaces. Feature names fold case.
 from __future__ import annotations
 
 import functools
-from importlib import resources
+import os
 from pathlib import Path
 
 from .model import DependencyRule, FeatureClass, FeatureClassRegistry, FeatureName, LexitreeError
@@ -74,7 +74,8 @@ def load_rules(path: str | Path) -> FeatureClassRegistry:
 
 
 def default_rules_text() -> str:
-    return resources.files("lexitree").joinpath("default.rules").read_text(encoding="utf-8")
+    # as pkgutil.get_data reads, so a zipped package works; importlib.resources imports inspect on 3.12+
+    return __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "default.rules")).decode("utf-8")
 
 
 @functools.cache

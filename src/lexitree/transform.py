@@ -7,7 +7,6 @@ results are safe because nothing here mutates a node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
@@ -18,6 +17,7 @@ from .model import (
     Node,
     _effective_lists,
     _preorder,
+    _Value,
     format_value,
 )
 from .xmlio import _escape_text
@@ -101,12 +101,12 @@ def materialize_inheritance(root: Node, registry: FeatureClassRegistry) -> Node:
     return built[0]
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(_Value):
     """Columns to extract, one row per full traversal."""
 
+    __slots__ = _fields = ("columns", "format")
     columns: tuple[FeatureName, ...]
-    format: str = "tsv"
+    format: str
 
     def __init__(self, columns: Iterable[FeatureName | str], format: str = "tsv"):
         cols = tuple(FeatureName(c) for c in columns)

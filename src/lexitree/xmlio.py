@@ -25,8 +25,8 @@ by memory alone.
 
 from __future__ import annotations
 
+import re
 import unicodedata
-from dataclasses import dataclass
 from typing import Iterable
 from xml.parsers import expat
 
@@ -38,6 +38,7 @@ from .model import (
     LexitreeError,
     Node,
     Property,
+    _Value,
 )
 
 DEFAULT_BASE_ELEMENTS = frozenset(
@@ -57,12 +58,12 @@ _STRUCTURAL = ("struc", "alt", "brack", "dict")
 _FEATURE_ALIASES = {"gender": "gen"}
 
 
-@dataclass(frozen=True)
-class EncodingProfile:
+class EncodingProfile(_Value):
     """Which element names map to features, and how forgiving parsing is."""
 
-    base_elements: frozenset[FeatureName] = DEFAULT_BASE_ELEMENTS
-    strict: bool = False
+    __slots__ = _fields = ("base_elements", "strict")
+    base_elements: frozenset[FeatureName]
+    strict: bool
 
     def __init__(self, base_elements: Iterable[FeatureName | str] = DEFAULT_BASE_ELEMENTS, strict: bool = False):
         names = frozenset(FeatureName(n) for n in base_elements)
@@ -81,12 +82,16 @@ class EncodingProfile:
 DEFAULT_PROFILE = EncodingProfile()
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(_Value):
+    __slots__ = _fields = ("severity", "line", "column", "message")
     severity: str  # "warning" or "error"
     line: int
     column: int
     message: str
+
+    def __init__(self, severity: str, line: int, column: int, message: str):
+        for name, value in zip(self._fields, (severity, line, column, message)):
+            object.__setattr__(self, name, value)
 
     def describe(self) -> str:
         return f"{self.severity}: line {self.line}, column {self.column}: {self.message}"
@@ -335,6 +340,23 @@ def parse_entry(
 # Serialization
 
 
+def _carried(text: str) -> bool:
+    """Whether XML can carry every character of `text`, escaped or not. The
+    search, and compiling its pattern, waits for an unprintable character."""
+    return text.isprintable() or not re.search("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", text)
+
+
+def _is_name(name: str) -> bool:
+    """Whether the parser reads `name` back as one attribute name. Outside
+    ASCII, expat's names follow XML 1.0's older tables, so the parser is asked."""
+    if re.fullmatch(r"[A-Za-z_:][-.\w:]*", name, re.ASCII):
+        return True
+    try:
+        return parse_entry(f'<struc><orth {name}=""/></struc>')[0].properties[0].attrs == ((name, ""),)
+    except ParseError:
+        return False
+
+
 def _escape_text(text: str) -> str:
     return (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
@@ -345,8 +367,13 @@ def _escape_attr(text: str) -> str:
     return _escape_text(text).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
 
 
-def _attr_string(attrs: tuple[tuple[str, str], ...]) -> str:
-    return "".join(f' {name}="{_escape_attr(value)}"' for name, value in attrs)
+def _attr_string(prop: Property) -> str:
+    if not prop.attrs:
+        return ""
+    for name, value in prop.attrs:
+        if not (_carried(name + value) and _is_name(name)):
+            raise SerializeError(f"attribute {name!r} on feature {str(prop.feature)!r} cannot be written as XML")
+    return "".join(f' {name}="{_escape_attr(value)}"' for name, value in prop.attrs)
 
 
 def _emit_property(
@@ -362,9 +389,9 @@ def _emit_property(
                 f"composite value on feature {str(prop.feature)!r}; only 'brack' holds bundles"
             )
         if not prop.value.properties:
-            lines.append(f"{indent}<brack{_attr_string(prop.attrs)}/>")
+            lines.append(f"{indent}<brack{_attr_string(prop)}/>")
             return
-        lines.append(f"{indent}<brack{_attr_string(prop.attrs)}>")
+        lines.append(f"{indent}<brack{_attr_string(prop)}>")
         for inner in prop.value.properties:
             if isinstance(inner.value, Composite):
                 raise SerializeError("brack holds feature elements one level deep, nothing deeper")
@@ -386,7 +413,9 @@ def _atomic_element(prop: Property, profile: EncodingProfile, elements: dict[int
             raise UnknownFeature(prop.feature)
         assert isinstance(prop.value, Atomic)
         text = unicodedata.normalize("NFC", prop.value.text)
-        head = f"<{prop.feature}{_attr_string(prop.attrs)}"
+        if not _carried(text):
+            raise SerializeError(f"value of feature {str(prop.feature)!r} holds a character XML cannot carry")
+        head = f"<{prop.feature}{_attr_string(prop)}"
         element = elements[id(prop)] = f"{head}>{_escape_text(text)}</{prop.feature}>" if text else f"{head}/>"
     return element
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -569,6 +570,38 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "OK\n"
+
+
+def test_a_command_imports_no_dataclasses_inspect_or_logging():
+    # A structural stand-in for process start-up time, which no wall-clock
+    # test could pin: these modules, with what they import, made up about half
+    # of importing lexitree.cli. -S keeps out what site-packages' .pth files import.
+    code = (
+        "import sys\n"
+        "from lexitree.cli import main\n"
+        f"assert main(['validate', {str(FIXTURES / 'gendarme.xml')!r}]) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n[]\n", "")
+
+
+def test_module_entry_point_runs_from_a_zipped_package(tmp_path):
+    # the shipped rules must be found through the loader of a zip import too
+    archive = tmp_path / "lexitree.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in (Path(__file__).resolve().parents[1] / "src" / "lexitree").iterdir():
+            if path.is_file():
+                zipped.write(path, f"lexitree/{path.name}")
+    env = {k: v for k, v in os.environ.items() if k != "LEXITREE_RULES"}
+    env["PYTHONPATH"] = str(archive)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexitree", "validate", str(FIXTURES / "gendarme.xml")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n", "")
 
 
 def test_effective_on_random_documents_matches_oracle(capsys, tmp_path):

@@ -313,12 +313,26 @@ def test_serialize_unknown_feature_rejected():
 
 
 def test_serialize_rejects_out_of_encoding_values():
-    with pytest.raises(SerializeError):
-        serialize_entry(Node([Property("def", Composite([P("ex", "x")]))]))
-    with pytest.raises(SerializeError):
-        serialize_entry(Node([Property("brack", Atomic("text"))]))
-    with pytest.raises(SerializeError):
-        serialize_entry(Node([Property("brack", Composite([P("brack", [P("ex", "x")])]))]))
+    cases = [
+        (Property("def", Composite([P("ex", "x")])), "def"),
+        (Property("brack", Atomic("text")), "brack"),
+        (Property("brack", Composite([P("brack", [P("ex", "x")])])), "brack"),
+        # text, attribute values and attribute names that XML cannot carry
+        (P("orth", "a\x01b"), "orth"),
+        (P("orth", "a\ufffeb"), "orth"),
+        (P("orth", "a\ud800b"), "orth"),
+        (Property("orth", "x", [("a<b", "v")]), "orth"),
+        (Property("orth", "x", [("1a", "v")]), "orth"),
+        (Property("orth", "x", [("a\u0132", "v")]), "orth"),  # a Name since XML 1.0's 5th edition, not to expat
+        (Property("orth", "x", [("n", "a\x01b")]), "orth"),
+        (Property("orth", "x", [("n\ud800", "v")]), "orth"),
+        (Property("brack", Composite([P("ex", "a\uffffb")])), "ex"),
+        (Property("brack", Composite([P("ex", "x")]), [("1a", "v")]), "brack"),
+    ]
+    for prop, named in cases:
+        with pytest.raises(SerializeError) as err:
+            serialize_entry(Node([prop]))
+        assert named in str(err.value), prop
 
 
 def _unshared(node):
@@ -374,9 +388,14 @@ def test_shared_property_without_base_element_still_refused():
 
 
 def test_escaping_survives_round_trip():
-    tree = Node([Property("def", 'a & b < c > "d"', (("note", 'x "y" &\nz'),))])
-    again, _ = parse_entry(serialize_entry(tree))
-    assert again == tree
+    for prop in [
+        Property("def", 'a & b < c > "d"', (("note", 'x "y" &\nz'),)),
+        # names and characters the parser produces, which the writer must keep writing
+        Property("orth", "é", (("xml:lang", "fr"), ("é", "a\tb\nc\rd"), ("a.b-c_1", "\U0001f600"))),
+    ]:
+        tree = Node([prop])
+        again, _ = parse_entry(serialize_entry(tree))
+        assert again == tree
 
 
 # ---------------------------------------------------------------------------
