@@ -32,6 +32,7 @@ from lexitree import (
     expand_alternatives,
     extract_table,
     materialize_inheritance,
+    unregistered_features,
 )
 
 MATERIALIZE_MAX_LEVELS = 5_000
@@ -73,6 +74,7 @@ def operations(tree, twin, registry, with_materialize):
         "check_consistency": lambda: check_consistency(tree, registry),
         "extract_table": lambda: extract_table(tree, spec, registry),
         "expand_alternatives": lambda: expand_alternatives(tree),
+        "unregistered_features": lambda: unregistered_features(tree, registry),
         "==": lambda: tree == twin,
         "hash()": lambda: hash(tree),
         "repr": lambda: repr(tree),

@@ -28,6 +28,7 @@ from .model import (
     format_value,
     partial_traversals,
     resolve_path,
+    unregistered_features,
 )
 from .rules import RulesError, default_registry, load_rules, parse_rules
 from .transform import (

@@ -8,10 +8,10 @@
     lexitree table       FILE --cols F1,F2,... [--format tsv|html] [--rules RULES]
 
 Exit codes: 0 success, 1 semantic violation or bad argument, 2 input parse
-failure. stdout carries only payload; diagnostics go to stderr. Paths are
-dotted 0-based child indices; the empty string is the root. The rules file
-defaults to the shipped one; LEXITREE_RULES overrides it and --rules
-overrides both.
+failure. stdout carries only payload; diagnostics, a warning per unregistered
+feature included, go to stderr. Paths are dotted 0-based child indices; the
+empty string is the root. The rules file defaults to the shipped one;
+LEXITREE_RULES overrides it and --rules overrides both.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .model import (
     format_path,
     format_value,
     partial_traversals,
+    unregistered_features,
 )
 from .transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance, render_table
 from .xmlio import DEFAULT_PROFILE, parse_entry, serialize_entry
@@ -106,7 +107,7 @@ class _InputError(LexitreeError):
     exit_code = PARSE_FAILURE
 
 
-def _read_tree(path: str) -> Node:
+def _read_tree(path: str, registry: FeatureClassRegistry | None) -> Node:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -114,6 +115,10 @@ def _read_tree(path: str) -> Node:
     tree, diagnostics = parse_entry(data, DEFAULT_PROFILE)
     for diagnostic in diagnostics:
         print(f"{path}: {diagnostic.describe()}", file=sys.stderr)
+    if registry is not None:
+        for feature in unregistered_features(tree, registry):
+            print(f"{path}: warning: feature {str(feature)!r} is not registered; "
+                  f"treating it as {registry.default_class.value}", file=sys.stderr)
     return tree
 
 
@@ -123,8 +128,7 @@ def _listing(props: Iterable[Property]) -> str:
 
 def _cmd_validate(args) -> int:
     registry = _load_registry(args.rules)
-    tree = _read_tree(args.file)
-    violations = check_consistency(tree, registry)
+    violations = check_consistency(_read_tree(args.file, registry), registry)
     if not violations:
         print("OK")
         return OK
@@ -135,33 +139,30 @@ def _cmd_validate(args) -> int:
 
 def _cmd_effective(args) -> int:
     registry = _load_registry(args.rules)
-    tree = _read_tree(args.file)
+    tree = _read_tree(args.file, registry)
     sys.stdout.write(_listing(effective_set(tree, parse_path(args.path), registry).entries))
     return OK
 
 
 def _cmd_traversals(args) -> int:
     registry = _load_registry(args.rules)
-    tree = _read_tree(args.file)
     # built whole before writing, so a failure partway leaves stdout empty
     blocks = [
         f"{format_path(path) if path else ''}\n{_listing(props)}"
-        for path, _, props in _effective_lists(tree, registry, leaves_only=not args.partial)
+        for path, _, props in _effective_lists(_read_tree(args.file, registry), registry, leaves_only=not args.partial)
     ]
     sys.stdout.write("\n".join(blocks))
     return OK
 
 
 def _cmd_expand(args) -> int:
-    tree = _read_tree(args.file)
-    sys.stdout.buffer.write(serialize_entry(expand_alternatives(tree)))
+    sys.stdout.buffer.write(serialize_entry(expand_alternatives(_read_tree(args.file, None))))
     return OK
 
 
 def _cmd_materialize(args) -> int:
     registry = _load_registry(args.rules)
-    tree = _read_tree(args.file)
-    materialized = materialize_inheritance(expand_alternatives(tree), registry)
+    materialized = materialize_inheritance(expand_alternatives(_read_tree(args.file, registry)), registry)
     sys.stdout.buffer.write(serialize_entry(materialized))
     return OK
 
@@ -172,8 +173,7 @@ def _cmd_table(args) -> int:
     if not columns:
         raise _UsageError("--cols must name at least one feature")
     spec = TableSpec(columns, format=args.format)
-    tree = _read_tree(args.file)
-    rows = extract_table(tree, spec, registry)
+    rows = extract_table(_read_tree(args.file, registry), spec, registry)
     sys.stdout.write(render_table(spec, rows))
     return OK
 

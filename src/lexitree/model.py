@@ -114,8 +114,7 @@ class _Value:
     def __getstate__(self) -> tuple:
         # the (__dict__, slots) pair object.__reduce_ex__ takes from protocol 2 on;
         # pickle protocols 0 and 1 read a slotted value's state only from here
-        slots = (n for c in self.__class__.__mro__ for n in c.__dict__.get("__slots__", ()))
-        return getattr(self, "__dict__", None), {n: getattr(self, n) for n in slots if hasattr(self, n)}
+        return getattr(self, "__dict__", None), {n: getattr(self, n) for n in self._fields}
 
     def __setstate__(self, state: tuple) -> None:
         # copy and pickle restore a value without calling its constructor
@@ -280,16 +279,11 @@ class DependencyRule(_Value):
 
 
 class FeatureClassRegistry(_Value):
-    """Feature classifications plus dependency rules.
+    """Feature classifications plus dependency rules. A feature missing from
+    `classes` falls back to `default_class`, local by default: the inert choice.
+    `unregistered_features` lists a tree's features that fall back."""
 
-    Unregistered features fall back to `default_class` (local by default:
-    the inert choice; a warning goes to the `lexitree.model` logger the first
-    time such a feature is seen so silently non-propagating data does not go
-    unnoticed). `logging` is imported on that first warning.
-    """
-
-    __slots__ = ("classes", "rules", "default_class", "_warned")
-    _fields = ("classes", "rules", "default_class")  # _warned is neither compared nor shown
+    __slots__ = _fields = ("classes", "rules", "default_class")
     classes: Mapping[FeatureName, FeatureClass]
     rules: tuple[DependencyRule, ...]
     default_class: FeatureClass
@@ -311,20 +305,9 @@ class FeatureClassRegistry(_Value):
         object.__setattr__(self, "classes", mapping)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "default_class", default_class)
-        object.__setattr__(self, "_warned", set())
 
     def classify(self, feature: FeatureName | str) -> FeatureClass:
-        feature = FeatureName(feature)
-        cls = self.classes.get(feature)
-        if cls is not None:
-            return cls
-        if feature not in self._warned:
-            self._warned.add(feature)
-            import logging  # here, not at the top: importing it slows every process start
-            logging.getLogger(__name__).warning(
-                "feature %r is not registered; treating it as %s", str(feature), self.default_class.value
-            )
-        return self.default_class
+        return self.classes.get(FeatureName(feature), self.default_class)
 
 
 class EffectiveFeatureSet(_Value):
@@ -499,6 +482,23 @@ def _require_alt_free(root: Node) -> None:
 
 # ---------------------------------------------------------------------------
 # Operations
+
+def unregistered_features(root: Node, registry: FeatureClassRegistry) -> list[FeatureName]:
+    """The features of node properties and alternatives missing from `registry.classes`, each
+    once, in document order; a `brack` bundle's contents, never classified, are left out."""
+    classes = registry.classes
+    found: dict[FeatureName, None] = {}
+    for _, _, node in _preorder(root):
+        for prop in node.properties:
+            if prop.feature not in classes:
+                found[prop.feature] = None
+        for group in node.alt_groups:
+            for alternative in group.alternatives:
+                for prop in alternative:
+                    if prop.feature not in classes:
+                        found[prop.feature] = None
+    return list(found)
+
 
 def attach_property(node: Node, prop: Property, registry: FeatureClassRegistry) -> Node:
     """Return `node` with `prop` appended.

@@ -70,7 +70,7 @@ def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
 
 def load_rules(path: str | Path) -> FeatureClassRegistry:
     path = Path(path)
-    return parse_rules(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_rules(path.read_text(encoding="utf-8-sig"), source=str(path))  # a leading BOM is no text
 
 
 def default_rules_text() -> str:
@@ -87,7 +87,6 @@ def _default_parts() -> tuple:
 def default_registry() -> FeatureClassRegistry:
     """The shipped classifications: orth/etym/pos/gen/pron overwrite, def/domain/time
     accumulate, ex/xr/brack stay local, and gen is licensed only under pos=noun.
-
-    The shipped file is read and parsed once per process, but each call returns
-    a fresh registry, with its own copy of `classes` and its own warnings."""
+    The shipped file is parsed once per process; each call returns a fresh
+    registry with its own copy of `classes`, which a caller may change."""
     return FeatureClassRegistry(*_default_parts())

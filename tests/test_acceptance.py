@@ -140,10 +140,11 @@ def test_overdress_traversals(registry):
 
 @criterion(3, 1.0, "materialize reproduces the spelled-out overdress document")
 def test_materialized_overdress_reproduction():
-    code, out, err = run_cli(
-        "materialize", FIXTURES / "overdress.xml", "--rules", FIXTURES / "orth_over.rules"
+    overdress = FIXTURES / "overdress.xml"
+    code, out, err = run_cli("materialize", overdress, "--rules", FIXTURES / "orth_over.rules")
+    assert code == 0 and err == "".join(  # the rules classify orth alone
+        f"{overdress}: warning: feature '{f}' is not registered; treating it as loc\n" for f in ("pos", "pron", "def")
     )
-    assert code == 0 and err == ""
     produced, _ = parse_entry(out)
     expected = load_fixture("overdress_materialized.xml")
     assert produced == expected

@@ -293,11 +293,14 @@ def test_expand_two_groups_gives_six_siblings(capsys):
     assert len(expanded.children) == 6
 
 
+def unregistered_warnings(doc, *features):
+    return "".join(f"{doc}: warning: feature '{f}' is not registered; treating it as loc\n" for f in features)
+
+
 def test_materialize_overdress_matches_spelled_out_document(capsys):
-    code, out, err = run(
-        capsys, "materialize", FIXTURES / "overdress.xml", "--rules", FIXTURES / "orth_over.rules"
-    )
-    assert (code, err) == (0, "")
+    overdress = FIXTURES / "overdress.xml"
+    code, out, err = run(capsys, "materialize", overdress, "--rules", FIXTURES / "orth_over.rules")
+    assert (code, err) == (0, unregistered_warnings(overdress, "pos", "pron", "def"))
     produced, _ = parse_entry(out.encode())
     expected, _ = parse_entry(fixture_bytes("overdress_materialized.xml"))
     assert produced == expected
@@ -517,7 +520,9 @@ def test_repeated_main_calls_leak_no_state(capsys, monkeypatch, tmp_path):
     local.write_text(default_rules_text().replace("class orth over", "class orth loc"), encoding="utf-8")
     overdress = str(FIXTURES / "overdress.xml")
     effective = ["effective", overdress, "--path", "0"]
+    orth_only = ["materialize", overdress, "--rules", str(FIXTURES / "orth_over.rules")]  # warns of pos, pron, def
     calls = [  # (argv, LEXITREE_RULES), in order
+        (orth_only, None),
         (["table", overdress, "--cols", "orth", "--format", "html"], None),
         (["table", overdress, "--cols", "orth"], None),
         (["traversals", overdress, "--partial"], None),
@@ -528,6 +533,7 @@ def test_repeated_main_calls_leak_no_state(capsys, monkeypatch, tmp_path):
         (effective, None),
         (effective, str(local)),
         (effective, None),
+        (orth_only, None),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     results = []
@@ -543,7 +549,8 @@ def test_repeated_main_calls_leak_no_state(capsys, monkeypatch, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out.encode(), err.encode()) == (alone.returncode, alone.stdout, alone.stderr), argv
         results.append((code, out))
-    html, tsv, partial, full, usage, valid, local_arg, default, local_env, unset = results
+    first_orth_only, html, tsv, partial, full, usage, valid, local_arg, default, local_env, unset, orth_only = results
+    assert first_orth_only == orth_only and orth_only[0] == 0
     assert html[1].startswith("<table>") and tsv[1] == "orth\noverdress\noverdress\n"
     assert full == run(capsys, "traversals", overdress, "--full")[:2] != partial
     assert (usage[0], valid) == (1, (0, "OK\n"))
@@ -553,13 +560,29 @@ def test_repeated_main_calls_leak_no_state(capsys, monkeypatch, tmp_path):
     assert _build_parser() is _build_parser()
 
 
-def test_each_command_warns_of_unregistered_features(caplog, capsys, tmp_path):
-    doc = tmp_path / "register.xml"
-    doc.write_bytes(b"<struc><orth>x</orth><register>formal</register></struc>")
-    with caplog.at_level("WARNING", logger="lexitree.model"):
+def test_each_command_taking_rules_warns_of_unregistered_features(capsys):
+    # pinna's `plural` sits in alternatives only, which validate and effective never fold
+    pinna = FIXTURES / "pinna.xml"
+    warning = unregistered_warnings(pinna, "plural")
+    commands = {"validate": 0, "effective": 0, "traversals": 1, "materialize": 0, "table": 1}
+    for command, expected_code in commands.items():
+        extra = ["--cols", "orth"] if command == "table" else []
         for _ in range(2):
-            assert run(capsys, "validate", doc)[:2] == (0, "OK\n")
-    assert sum("'register' is not registered" in r.message for r in caplog.records) == 2
+            code, _, err = run(capsys, command, pinna, *extra)
+            assert code == expected_code and err.startswith(warning) and err.count("not registered") == 1, command
+    assert run(capsys, "expand", pinna)[::2] == (0, "")
+
+
+def test_unregistered_feature_warnings_follow_the_parse_diagnostics(capsys, tmp_path):
+    doc = tmp_path / "unknown.xml"
+    doc.write_bytes(b"<struc><zzz>x</zzz><orth>o</orth><yyy>y</yyy></struc>")
+    code, out, err = run(capsys, "validate", doc)
+    assert (code, out) == (0, "OK\n")
+    assert err == (
+        f"{doc}: warning: line 1, column 8: unknown element <zzz> kept as a feature\n"
+        f"{doc}: warning: line 1, column 34: unknown element <yyy> kept as a feature\n"
+        + unregistered_warnings(doc, "zzz", "yyy")
+    )
 
 
 def test_module_entry_point_runs():
@@ -576,16 +599,20 @@ def test_a_command_imports_no_dataclasses_inspect_or_logging():
     # A structural stand-in for process start-up time, which no wall-clock
     # test could pin: these modules, with what they import, made up about half
     # of importing lexitree.cli. -S keeps out what site-packages' .pth files import.
+    overdress = FIXTURES / "overdress.xml"
     code = (
         "import sys\n"
         "from lexitree.cli import main\n"
         f"assert main(['validate', {str(FIXTURES / 'gendarme.xml')!r}]) == 0\n"
+        # the rules classify orth alone, so the command warns of three features
+        f"assert main(['validate', {str(overdress)!r}, '--rules', {str(FIXTURES / 'orth_over.rules')!r}]) == 0\n"
         "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n[]\n", "")
+    warnings = unregistered_warnings(overdress, "pos", "pron", "def")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\nOK\n[]\n", warnings)
 
 
 def test_module_entry_point_runs_from_a_zipped_package(tmp_path):

@@ -27,6 +27,7 @@ from lexitree.model import (
     format_path,
     partial_traversals,
     resolve_path,
+    unregistered_features,
     values_equal,
 )
 
@@ -153,12 +154,21 @@ def test_classify_falls_back_to_default_class():
     assert empty.classify("zzz") is FeatureClass.LOCAL
 
 
-def test_classify_warns_once_per_unregistered_feature(caplog):
-    empty = FeatureClassRegistry()
-    with caplog.at_level("WARNING", logger="lexitree.model"):
-        empty.classify("zzz")
-        empty.classify("zzz")
-    assert sum("zzz" in r.message for r in caplog.records) == 1
+def test_unregistered_features_lists_each_once_in_document_order():
+    class NoClassify(FeatureClassRegistry):
+        def classify(self, feature):
+            raise AssertionError("unregistered_features reads `classes` alone")
+
+    tree = Node(
+        [P("zeta", "a"), P("orth", "x"), Property("brack", Composite([P("inner", "b")]))],
+        [AltGroup([[P("alpha", "1")], [P("zeta", "2"), P("beta", "3")]])],
+        [Node([P("gamma", "c"), P("alpha", "d")]), Node([P("zeta", "e"), P("delta", "f")])],
+    )
+    found = unregistered_features(tree, NoClassify({"orth": FeatureClass.OVERWRITING}))
+    assert found == ["zeta", "brack", "alpha", "beta", "gamma", "delta"]
+    assert all(isinstance(feature, FeatureName) for feature in found)
+    everything = {f: FeatureClass.LOCAL for f in ("zeta", "orth", "brack", "alpha", "beta", "gamma", "delta")}
+    assert unregistered_features(tree, FeatureClassRegistry(everything)) == []
 
 
 # ---------------------------------------------------------------------------

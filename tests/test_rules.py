@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from lexitree.model import DependencyRule, FeatureClass, FeatureName
@@ -60,6 +63,21 @@ def test_load_rules_reads_a_file(tmp_path):
     path.write_text("class orth over\n", encoding="utf-8")
     registry = load_rules(path)
     assert registry.classify("orth") is FeatureClass.OVERWRITING
+
+
+def test_load_rules_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.rules"
+    path.write_bytes(b"\xef\xbb\xbfclass orth over\n")
+    assert load_rules(path).classes == {"orth": FeatureClass.OVERWRITING}
+
+
+def test_readme_rules_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"### Rules files\n\n```\n(.*?)```", readme, re.DOTALL)
+    registry = parse_rules(block, "README.md")
+    assert registry.classes == {"orth": FeatureClass.OVERWRITING, "pos": FeatureClass.OVERWRITING,
+                                "def": FeatureClass.CUMULATIVE}
+    assert registry.rules == (DependencyRule("gen", "pos", "noun"),)
 
 
 def test_default_registry_shipped_classifications():

@@ -99,6 +99,12 @@ def test_repr_is_the_field_wise_one(build, fields, expected):
 
 
 @pytest.mark.parametrize("build, fields, expected", CASES, ids=IDS)
+def test_slots_are_the_fields(build, fields, expected):
+    # pickle and copy restore `_fields` and `__dict__`, so a slot outside the fields would be lost
+    assert build().__class__.__slots__ == fields
+
+
+@pytest.mark.parametrize("build, fields, expected", CASES, ids=IDS)
 def test_equal_values_compare_and_hash_equal(build, fields, expected):
     a, b = build(), build()
     assert a is not b and a == b and not a != b
