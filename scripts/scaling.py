@@ -9,6 +9,12 @@ is linear in the size of the tree costs about as much per node on the chain
 as on the balanced tree. `materialize_inheritance` writes levels²/2
 properties on a chain, so it runs only on chains of up to 5,000 levels.
 
+The XML rows time `serialize_entry` of the tree and `parse_entry` of the
+bytes it wrote, so the parser's cost per element has a number of its own.
+The canonical form indents each line by its depth, which makes a chain's
+document grow with levels²: the XML rows run only on chains of up to 2,000
+levels (a 16 MB document), and each prints the document's size.
+
 The last rows time a refusal: the same chain with an alternative group at
 its deepest node, which `extract_table`, `materialize_inheritance` and
 `enumerate_traversals` must refuse with UnexpandedAlternatives. A refusal
@@ -32,10 +38,13 @@ from lexitree import (
     expand_alternatives,
     extract_table,
     materialize_inheritance,
+    parse_entry,
+    serialize_entry,
     unregistered_features,
 )
 
 MATERIALIZE_MAX_LEVELS = 5_000
+XML_MAX_LEVELS = 2_000
 
 
 def level(i):
@@ -68,7 +77,7 @@ def nodes_in(tree):
     return count
 
 
-def operations(tree, twin, registry, with_materialize):
+def operations(tree, twin, registry, with_materialize, with_xml):
     spec = TableSpec(["def", "ex"])
     ops = {
         "check_consistency": lambda: check_consistency(tree, registry),
@@ -81,6 +90,10 @@ def operations(tree, twin, registry, with_materialize):
     }
     if with_materialize:
         ops["materialize_inheritance"] = lambda: materialize_inheritance(tree, registry)
+    if with_xml:
+        document = serialize_entry(tree)
+        ops["serialize_entry"] = lambda: serialize_entry(tree)
+        ops[f"parse_entry ({len(document) / 1e6:.1f} MB)"] = lambda: parse_entry(document)
     return ops
 
 
@@ -88,16 +101,19 @@ def print_row(op, seconds, nodes):
     print(f"  {op:<24} {seconds * 1e6 / nodes:9.2f} µs/node  {seconds:8.3f} s")
 
 
-def report(name, make, registry, with_materialize):
+def report(name, make, registry, with_materialize, with_xml):
     tree, twin = make(), make()  # built apart, so == compares every property
     nodes = nodes_in(tree)
     print(f"{name} ({nodes:,} nodes)")
-    for op, run in operations(tree, twin, registry, with_materialize).items():
+    for op, run in operations(tree, twin, registry, with_materialize, with_xml).items():
         start = time.perf_counter()
         run()
         print_row(op, time.perf_counter() - start, nodes)
     if not with_materialize:
         print(f"  {'materialize_inheritance':<24} skipped above {MATERIALIZE_MAX_LEVELS:,} levels")
+    if not with_xml:
+        print(f"  {'serialize_entry':<24} skipped above {XML_MAX_LEVELS:,} levels")
+        print(f"  {'parse_entry':<24} skipped above {XML_MAX_LEVELS:,} levels")
 
 
 def report_refusals(levels, registry):
@@ -124,9 +140,9 @@ def main():
     if args.levels < 1:
         parser.error("--levels must be at least 1")
     registry = default_registry()
-    report("balanced 3^9", balanced, registry, True)
+    report("balanced 3^9", balanced, registry, True, True)
     report(f"chain of {args.levels:,} levels", lambda: chain(args.levels), registry,
-           args.levels <= MATERIALIZE_MAX_LEVELS)
+           args.levels <= MATERIALIZE_MAX_LEVELS, args.levels <= XML_MAX_LEVELS)
     report_refusals(args.levels, registry)
 
 

@@ -135,12 +135,9 @@ def render_tsv(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
 
 def render_html(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
     lines = ["<table>"]
-    for column in spec.columns:
-        lines.append(f"  <th>{_escape_text(str(column))}</th>")
-    for row in rows:
+    for tag, cells in [("th", map(str, spec.columns)), *(("td", row) for row in rows)]:
         lines.append("  <tr>")
-        for cell in row:
-            lines.append(f"    <td>{_escape_text(cell)}</td>")
+        lines.extend(f"    <{tag}>{_escape_text(cell)}</{tag}>" for cell in cells)
         lines.append("  </tr>")
     lines.append("</table>")
     return "\n".join(lines) + "\n"

@@ -7,11 +7,13 @@ group), and `brack` (a grouping property whose value is a one-level bundle of
 feature elements). Every other element is a base element naming a feature;
 its text is the value and its XML attributes are carried verbatim.
 
-Which element may open inside which is one table, `_CONTENT`, that also
-holds the refusal for the rest. Parsing is lenient by default: unknown
-elements become atomic properties and misplaced ones are skipped, each with
-a warning, so real dictionary data with extra tags degrades gracefully.
-With `strict` set on the profile they abort the parse instead.
+Parsing is one pass of expat callbacks. Each structural element gets a
+frame; a feature element gets none, and expat appends its text to a list with
+no Python call. Which element may open inside which is one table, `_CONTENT`,
+that also holds the refusal for the rest. Parsing is lenient by default:
+unknown elements become atomic properties and misplaced ones are skipped,
+each with a warning, so real dictionary data with extra tags degrades
+gracefully. With `strict` set on the profile they abort the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
 wrapper, two-space indentation, one element per line, and NFC-normalized
@@ -25,6 +27,7 @@ by memory alone.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from typing import Iterable
@@ -38,6 +41,7 @@ from .model import (
     LexitreeError,
     Node,
     Property,
+    _unchecked_property,
     _Value,
 )
 
@@ -128,8 +132,12 @@ class UnknownFeature(SerializeError):
 
 
 def _collapse(text: str) -> str:
-    """Trim and collapse internal whitespace runs; source text is typeset noisily."""
-    return " ".join(text.split())
+    """Trim and collapse runs of XML whitespace, as source text is typeset noisily;
+    U+00A0 and the other spaces are text. `str.split` is exact on ASCII, where
+    XML bars the controls it also splits on, and on printable text."""
+    if text.isascii() or text.isprintable():
+        return " ".join(text.split())
+    return re.sub("[ \t\n\r]+", " ", text).strip(" ")
 
 
 # ---------------------------------------------------------------------------
@@ -147,181 +155,51 @@ _CONTENT: dict[str | None, tuple[frozenset[str], str]] = {
     "brack": (frozenset({""}), "<{tag}> is not allowed inside <brack>; only one level of feature elements"),
 }
 
+_BRACK = FeatureName("brack")
+
+
+def _resolve(tag: str, base_elements: frozenset[FeatureName]) -> tuple[str, FeatureName | None, str | None]:
+    """What an element name means under a profile: its kind, the feature a
+    feature element sets (None for an unusable name), and the warning an
+    unknown feature element draws on every occurrence (None when known).
+    Names fold case, structural ones included, as feature names do."""
+    folded = tag.lower()
+    if folded in _STRUCTURAL:
+        return folded, None, None
+    try:
+        name = FeatureName(folded)
+    except ValueError:
+        return "", None, f"unknown element <{tag}> is not a usable feature name; skipped"
+    feature = FeatureName(_FEATURE_ALIASES.get(name, name))
+    if name in base_elements:
+        return "", feature, None
+    return "", feature, f"unknown element <{tag}> kept as a feature"
+
+
+@functools.lru_cache(maxsize=16)
+def _tag_table(profile: EncodingProfile) -> dict[str, tuple[str, FeatureName | None, str | None]]:
+    """`_resolve` of the structural names, base elements and aliases, built once per
+    profile; each parse adds other names to a copy, so this table stays small."""
+    return {tag: _resolve(tag, profile.base_elements)
+            for tag in (*_STRUCTURAL, *profile.base_elements, *_FEATURE_ALIASES)}
+
 
 class _Frame:
-    """One open element: `kind` is "dict", "struc", "alt", "brack", or "" for
-    a feature element.
+    """One open structural element, or the document around it (kind None):
+    the properties of a struc, alt or brack, and a brack's attributes; the
+    nodes of a struc, a dict or the document; a struc's alternative groups,
+    and the run of `alt` siblings still open."""
 
-    `props` collects the properties of a struc, alt or brack; `children` the
-    nodes of a struc or dict; `groups` and `alt_run` a struc's alternative
-    groups and the run of `alt` siblings still open; `chunks` a feature
-    element's text. `flatten` counts the markup open inside a feature element.
-    """
+    __slots__ = ("kind", "attrs", "props", "groups", "children", "alt_run", "warned_text")
 
-    __slots__ = ("kind", "feature", "attrs", "props", "groups", "children", "alt_run", "chunks", "flatten",
-                 "warned_text")
-
-    def __init__(self, kind: str, attrs: tuple[tuple[str, str], ...] = (), feature: FeatureName | None = None):
+    def __init__(self, kind: str | None, attrs: tuple[tuple[str, str], ...] = ()):
         self.kind = kind
-        self.feature = feature
         self.attrs = attrs
         self.props: list[Property] = []
         self.groups: list[AltGroup] = []
         self.children: list[Node] = []
         self.alt_run: list[tuple[Property, ...]] = []
-        self.chunks: list[str] = []
-        self.flatten = 0
         self.warned_text = False
-
-
-class _Parser:
-    def __init__(self, profile: EncodingProfile):
-        self.profile = profile
-        self.diagnostics: list[ParseDiagnostic] = []
-        self.stack: list[_Frame] = []
-        self.result: Node | None = None
-        self.skip_depth = 0
-        self.tags: dict[str, tuple[str, FeatureName | None, str | None]] = {}  # tag -> _resolve(tag)
-        self.expat = expat.ParserCreate(encoding=None)
-        self.expat.ordered_attributes = True
-        self.expat.StartElementHandler = self.start
-        self.expat.EndElementHandler = self.end
-        self.expat.CharacterDataHandler = self.chardata
-
-    def _diagnostic(self, severity: str, message: str) -> ParseDiagnostic:
-        return ParseDiagnostic(severity, self.expat.CurrentLineNumber, self.expat.CurrentColumnNumber + 1, message)
-
-    def warn(self, message: str) -> None:
-        self.diagnostics.append(self._diagnostic("warning", message))
-
-    def fail(self, exc_type: type[ParseError], message: str) -> None:
-        raise exc_type(self._diagnostic("error", message))
-
-    def _resolve(self, tag: str) -> tuple[str, FeatureName | None, str | None]:
-        """What an element name means under the profile: its kind, the feature
-        a feature element sets (None for an unusable name), and the warning an
-        unknown feature element draws on every occurrence (None when known).
-        Names fold case, structural ones included, as feature names do."""
-        folded = tag.lower()
-        if folded in _STRUCTURAL:
-            return folded, None, None
-        try:
-            name = FeatureName(folded)
-        except ValueError:
-            return "", None, f"unknown element <{tag}> is not a usable feature name; skipped"
-        feature = FeatureName(_FEATURE_ALIASES.get(name, name))
-        if name in self.profile.base_elements:
-            return "", feature, None
-        return "", feature, f"unknown element <{tag}> kept as a feature"
-
-    def start(self, tag: str, attrs: list[str]) -> None:
-        if self.skip_depth:
-            self.skip_depth += 1
-            return
-        stack = self.stack
-        top = stack[-1] if stack else None
-        if top is not None and not top.kind:
-            top.flatten += 1
-            self.warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
-            return
-        resolved = self.tags.get(tag)
-        if resolved is None:
-            resolved = self.tags[tag] = self._resolve(tag)
-        kind, feature, unknown = resolved
-        allowed, refusal = _CONTENT[top.kind if top is not None else None]
-        if kind not in allowed:
-            # a wrong document element is fatal; strict mode aborts, lenient skips
-            message = refusal.format(tag=tag)
-            if top is None or self.profile.strict:
-                self.fail(UnknownElement, message)
-            self.warn(f"{message}; skipped")
-            self.skip_depth = 1
-            return
-        if top is not None and top.alt_run and kind != "alt":
-            self._flush_alt_run(top)
-        if not kind or kind == "brack":
-            if unknown:
-                if self.profile.strict:
-                    self.fail(UnknownElement, f"unknown element <{tag}>")
-                self.warn(unknown)
-                if feature is None:
-                    self.skip_depth = 1
-                    return
-            stack.append(_Frame(kind, tuple(zip(attrs[::2], attrs[1::2])) if attrs else (), feature))
-        else:
-            if attrs:
-                self.warn(f"attributes on <{tag}> are not modeled; dropped")
-            stack.append(_Frame(kind))
-
-    def _flush_alt_run(self, frame: _Frame) -> None:
-        run, frame.alt_run = frame.alt_run, []
-        if len(run) == 1:
-            self.warn("a lone <alt> is no alternative; its content applies unconditionally")
-            frame.props.extend(run[0])
-        else:
-            frame.groups.append(AltGroup(run))
-
-    def end(self, tag: str) -> None:
-        if self.skip_depth:
-            self.skip_depth -= 1
-            return
-        stack = self.stack
-        top = stack[-1]
-        kind = top.kind
-        if not kind:
-            if top.flatten:
-                top.flatten -= 1
-                return
-            stack.pop()
-            chunks = top.chunks
-            text = _collapse(chunks[0] if len(chunks) == 1 else "".join(chunks))
-            stack[-1].props.append(Property(top.feature, Atomic(text), top.attrs))
-        elif kind == "struc":
-            if top.alt_run:
-                self._flush_alt_run(top)
-            stack.pop()
-            node = Node(top.props, top.groups, top.children)
-            if stack:
-                stack[-1].children.append(node)
-            else:
-                self.result = node
-        elif kind == "alt":
-            stack.pop()
-            if top.props:
-                stack[-1].alt_run.append(tuple(top.props))
-            else:
-                self.warn("empty <alt> dropped")
-        elif kind == "brack":
-            stack.pop()
-            stack[-1].props.append(Property("brack", Composite(top.props), top.attrs))
-        else:  # dict
-            stack.pop()
-            if len(top.children) > 1:
-                self.fail(MultipleRoots, f"<dict> holds {len(top.children)} entry nodes; expected one")
-            if not top.children:
-                self.fail(ParseError, "<dict> holds no entry node (<struc>)")
-            self.result = top.children[0]
-
-    def chardata(self, data: str) -> None:
-        if self.skip_depth:
-            return
-        top = self.stack[-1]  # expat reports no text outside the document element
-        if not top.kind:
-            top.chunks.append(data)
-        elif not top.warned_text and data.strip():
-            top.warned_text = True
-            self.warn("stray text inside a structural element; ignored")
-
-    def parse(self, document: bytes | str) -> tuple[Node, list[ParseDiagnostic]]:
-        try:
-            self.expat.Parse(document, True)
-        except expat.ExpatError as exc:
-            raise XmlMalformed(
-                ParseDiagnostic("error", exc.lineno, exc.offset + 1, expat.errors.messages[exc.code])
-            ) from exc
-        if self.result is None:
-            raise ParseError(ParseDiagnostic("error", 0, 0, "document holds no entry node"))
-        return self.result, self.diagnostics
 
 
 def parse_entry(
@@ -333,7 +211,123 @@ def parse_entry(
     multiplied entry node, and (in strict mode) unknown or misplaced elements
     raise ParseError subclasses instead.
     """
-    return _Parser(profile).parse(document)
+    parser = expat.ParserCreate()
+    parser.ordered_attributes = True
+    strict = profile.strict
+    tags = dict(_tag_table(profile))
+    diagnostics: list[ParseDiagnostic] = []
+    stack = [_Frame(None)]  # the document, then every open structural element
+    skip_depth = 0  # elements open in a skipped subtree
+    # The open feature element, if `chunks` is a list: the feature it sets, its
+    # attributes, its text chunks, and the count of markup open inside it.
+    feature = carried = chunks = None
+    flatten = 0
+
+    def diagnostic(severity: str, message: str) -> ParseDiagnostic:
+        return ParseDiagnostic(severity, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1, message)
+
+    def warn(message: str) -> None:
+        diagnostics.append(diagnostic("warning", message))
+
+    def flush_alt_run(frame: _Frame) -> None:
+        run, frame.alt_run = frame.alt_run, []
+        if len(run) == 1:
+            warn("a lone <alt> is no alternative; its content applies unconditionally")
+            frame.props.extend(run[0])
+        else:
+            frame.groups.append(AltGroup(run))
+
+    def start(tag: str, attrs: list[str]) -> None:
+        nonlocal skip_depth, flatten, feature, carried, chunks
+        if skip_depth:
+            skip_depth += 1
+            return
+        if chunks is not None:
+            flatten += 1
+            warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
+            return
+        kind, name, unknown = tags.get(tag) or tags.setdefault(tag, _resolve(tag, profile.base_elements))
+        top = stack[-1]
+        allowed, refusal = _CONTENT[top.kind]
+        if kind not in allowed:
+            # a wrong document element is fatal; strict mode aborts, lenient skips
+            message = refusal.format(tag=tag)
+            if top.kind is None or strict:
+                raise UnknownElement(diagnostic("error", message))
+            warn(f"{message}; skipped")
+            skip_depth = 1
+            return
+        if top.alt_run and kind != "alt":
+            flush_alt_run(top)
+        if unknown:
+            if strict:
+                raise UnknownElement(diagnostic("error", f"unknown element <{tag}>"))
+            warn(unknown)
+            if name is None:
+                skip_depth = 1
+                return
+        if not kind:  # its text goes straight to the chunk list, with no Python call
+            feature, carried, chunks = name, tuple(zip(attrs[::2], attrs[1::2])) if attrs else (), []
+            parser.CharacterDataHandler = chunks.append
+        elif kind == "brack":
+            stack.append(_Frame(kind, tuple(zip(attrs[::2], attrs[1::2]))))
+        else:
+            if attrs:
+                warn(f"attributes on <{tag}> are not modeled; dropped")
+            stack.append(_Frame(kind))
+
+    def end(tag: str) -> None:
+        nonlocal skip_depth, flatten, chunks
+        if skip_depth:
+            skip_depth -= 1
+            return
+        if chunks is not None:
+            if flatten:
+                flatten -= 1
+                return
+            stack[-1].props.append(_unchecked_property(feature, Atomic(_collapse("".join(chunks))), carried))
+            chunks = None
+            parser.CharacterDataHandler = chardata
+            return
+        top = stack.pop()
+        kind, parent = top.kind, stack[-1]
+        if kind == "struc":
+            if top.alt_run:
+                flush_alt_run(top)
+            parent.children.append(Node(top.props, top.groups, top.children))
+        elif kind == "alt":
+            if top.props:
+                parent.alt_run.append(tuple(top.props))
+            else:
+                warn("empty <alt> dropped")
+        elif kind == "brack":
+            parent.props.append(_unchecked_property(_BRACK, Composite(top.props), top.attrs))
+        else:  # dict
+            if len(top.children) > 1:
+                raise MultipleRoots(diagnostic("error", f"<dict> holds {len(top.children)} entry nodes; expected one"))
+            if not top.children:
+                raise ParseError(diagnostic("error", "<dict> holds no entry node (<struc>)"))
+            parent.children.append(top.children[0])
+
+    def chardata(data: str) -> None:
+        # text in a structural element; expat reports none outside the document element
+        if not (skip_depth or stack[-1].warned_text) and data.strip(" \t\n\r"):
+            stack[-1].warned_text = True
+            warn("stray text inside a structural element; ignored")
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chardata
+    try:
+        parser.Parse(document, True)
+    except expat.ExpatError as exc:
+        raise XmlMalformed(
+            ParseDiagnostic("error", exc.lineno, exc.offset + 1, expat.errors.messages[exc.code])
+        ) from exc
+    finally:  # break the parser-handler cycle, so reference counting frees the parse's state
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+    (entry,) = stack[0].children  # the document element closed as a struc, or a dict holding one
+    return entry, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -330,9 +330,11 @@ def test_table_html_reproduces_published_rows(capsys):
     assert (code, err) == (0, "")
     assert out == (
         "<table>\n"
-        "  <th>orth</th>\n"
-        "  <th>pos</th>\n"
-        "  <th>def</th>\n"
+        "  <tr>\n"
+        "    <th>orth</th>\n"
+        "    <th>pos</th>\n"
+        "    <th>def</th>\n"
+        "  </tr>\n"
         "  <tr>\n"
         "    <td>overdress</td>\n"
         "    <td>verb</td>\n"

@@ -318,15 +318,17 @@ def test_render_html_shape_and_escaping(registry):
     out = render_table(spec, extract_table(leaf, spec, registry))
     assert out == (
         "<table>\n"
-        "  <th>orth</th>\n"
-        "  <th>pos</th>\n"
+        "  <tr>\n"
+        "    <th>orth</th>\n"
+        "    <th>pos</th>\n"
+        "  </tr>\n"
         "  <tr>\n"
         "    <td>a&amp;b</td>\n"
         "    <td>&lt;n&gt;</td>\n"
         "  </tr>\n"
         "</table>\n"
     )
-    assert render_html(spec, []) == "<table>\n  <th>orth</th>\n  <th>pos</th>\n</table>\n"
+    assert render_html(spec, []) == "<table>\n  <tr>\n    <th>orth</th>\n    <th>pos</th>\n  </tr>\n</table>\n"
 
 
 @given(tree_with_registry())

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -234,6 +236,9 @@ def test_stray_text_warned_once_per_element():
     assert [d.message for d in diagnostics] == ["stray text inside a structural element; ignored"] * 2
 
 
+_FLATTENED = b"<struc>\n  <def>a<usg>b<i>c</i></usg>d</def>\n  <orth>x</orth>\n</struc>"
+_SKIPPED = b"<struc>\n  <brack>\n    <struc><orth>x</orth>loose</struc>\n  </brack>\n  <orth>y</orth>\n</struc>"
+
 # Every warning kind the parser emits, with the position expat reports for
 # it: the start of the element, or of the text chunk, that triggered it.
 _WARNINGS = [
@@ -257,6 +262,13 @@ _WARNINGS = [
      [(3, 3, "a lone <alt> is no alternative; its content applies unconditionally")]),
     (b"<struc>\n  <alt></alt>\n</struc>",
      [(2, 8, "empty <alt> dropped")]),
+    (_FLATTENED,
+     [(2, 9, "element <usg> inside a feature element; its text is kept, markup dropped"),
+      (2, 15, "element <i> inside a feature element; its text is kept, markup dropped")]),
+    (_SKIPPED,
+     [(3, 5, "<struc> is not allowed inside <brack>; only one level of feature elements; skipped")]),
+    (b"<struc>\n  <alt><pos>n</pos></alt>\n  <alt><pos>v</pos></alt> loose\n</struc>",
+     [(3, 26, "stray text inside a structural element; ignored")]),
 ]
 
 
@@ -266,6 +278,58 @@ def test_warning_kinds_are_pinned_with_positions(document, expected):
     assert [(d.severity, d.line, d.column, d.message) for d in diagnostics] == [
         ("warning", *item) for item in expected
     ]
+
+
+def test_flattened_and_skipped_markup_leave_the_rest_of_the_entry():
+    assert parse_entry(_FLATTENED)[0] == Node([P("def", "abcd"), P("orth", "x")])
+    assert parse_entry(_SKIPPED)[0] == Node([P("brack", []), P("orth", "y")])
+
+
+def test_value_joins_entities_cdata_and_character_references_and_drops_comments():
+    tree, diagnostics = parse_entry(b"<struc><def>a &amp; <![CDATA[<b>]]><!-- c -->c&#233;</def></struc>")
+    assert (tree, diagnostics) == (Node([P("def", "a & <b>c\u00e9")]), [])
+
+
+# Whitespace to str.split and str.strip that XML does not collapse.
+_NON_XML_SPACES = ["\u00a0", "\u202f", "\u3000", "\u0085", "\u2028"]
+
+
+@pytest.mark.parametrize("space", _NON_XML_SPACES)
+def test_non_xml_whitespace_is_value_text(space):
+    for text in (f"a{space}b", f"{space}x", f"x{space}", f"a {space} b"):
+        tree = Node([P("def", text)])
+        assert parse_entry(serialize_entry(tree)) == (tree, [])
+    tree, _ = parse_entry(f"<struc><def> a{space} \n b\t</def></struc>".encode())
+    assert tree == Node([P("def", f"a{space} b")])
+
+
+@pytest.mark.parametrize("space", _NON_XML_SPACES)
+def test_non_xml_whitespace_in_a_structural_element_is_stray_text(space):
+    _, diagnostics = parse_entry(f"<struc>\n  {space}\n  <orth>x</orth>\n</struc>".encode())
+    assert [(d.line, d.column, d.message) for d in diagnostics] == [
+        (2, 1, "stray text inside a structural element; ignored")
+    ]
+
+
+def test_every_space_outside_xml_whitespace_is_unprintable():
+    # the premise of the parser's str.split fast path for printable text
+    spaces = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in " \t\n\r"]
+    assert spaces and not any(c.isprintable() for c in spaces)
+
+
+def test_a_parse_leaves_no_reference_cycle():
+    # the tree and the parse's state go when the last reference does, not at a later collection
+    gc.collect()
+    gc.disable()
+    try:
+        for document in (fixture_bytes("pinna.xml"), b"<struc><orth>x</struc>", b"<struc><sensenum/></struc>"):
+            try:
+                parse_entry(document, STRICT)
+            except ParseError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_profile_rejects_structural_names_and_empty():
@@ -439,7 +503,9 @@ def tag_soup(draw):
             mismatch = not open_tags or draw(st.sampled_from([False] * 9 + [True]))
             out.append(f"</{draw(st.sampled_from(_SOUP_TAGS)) if mismatch else open_tags.pop()}>")
         else:
-            out.append(draw(st.sampled_from(("x", " ", "a  b", "\n  ", "&amp;", "\u00e9"))))
+            out.append(draw(st.sampled_from(
+                ("x", " ", "a  b", "\n  ", "&amp;", "\u00e9", "<![CDATA[<b> ]]>", "<!-- c -->", "&#233;", "\t")
+            )))
     out.extend(f"</{tag}>" for tag in reversed(open_tags))
     document = "".join(out).encode("utf-8")
     if draw(st.sampled_from((False, False, False, True))):
@@ -456,3 +522,19 @@ def test_tag_soup_parses_or_raises_parse_error(document, profile):
         return
     assert isinstance(tree, Node)
     assert all(d.severity == "warning" for d in diagnostics)
+
+
+@settings(max_examples=200)
+@given(tag_soup(), st.sampled_from([DEFAULT_PROFILE, STRICT]))
+def test_tag_soup_parses_alike_from_str_and_bytes(document, profile):
+    try:
+        text = document.decode("utf-8")
+    except UnicodeDecodeError:  # truncated inside a character
+        return
+    outcomes = []
+    for source in (document, text):
+        try:
+            outcomes.append(parse_entry(source, profile))
+        except ParseError as exc:
+            outcomes.append((exc.__class__, exc.diagnostic))
+    assert outcomes[0] == outcomes[1]

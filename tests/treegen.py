@@ -28,7 +28,8 @@ from lexitree.model import (
 from lexitree.xmlio import EncodingProfile
 
 FEATURES = ("fa", "fb", "fc", "fd", "fe", "ff")
-VALUES = tuple(unicodedata.normalize("NFC", v) for v in ("v0", "v1", "v2", "été", "à bas", ""))
+# "a\u00a0b": a no-break space is value text, not whitespace to collapse
+VALUES = tuple(unicodedata.normalize("NFC", v) for v in ("v0", "v1", "v2", "été", "à bas", "", "a\u00a0b"))
 ATTRS = (("type", "see"), ("n", "1"), ("note", 'a "q" &\nb'))
 
 XML_PROFILE = EncodingProfile(FEATURES)
