@@ -62,23 +62,24 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="lexitree", description="Inspect and transform dictionary entry trees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_text: str, with_rules: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, run, with_rules: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("file", help="entry document (XML)")
         if with_rules:
             p.add_argument("--rules", help="feature class rules file")
         return p
 
-    command("validate", "check node constraints and dependency rules")
-    p = command("effective", "print the feature set holding at a node")
+    command("validate", "check node constraints and dependency rules", _cmd_validate)
+    p = command("effective", "print the feature set holding at a node", _cmd_effective)
     p.add_argument("--path", default="", help="dotted 0-based child indices; empty for the root")
-    p = command("traversals", "list traversals with their effective sets")
+    p = command("traversals", "list traversals with their effective sets", _cmd_traversals)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--full", action="store_true", help="root-to-leaf paths (default)")
     which.add_argument("--partial", action="store_true", help="one path per node")
-    command("expand", "rewrite alternatives as explicit siblings", with_rules=False)
-    command("materialize", "spell out inherited features at every node")
-    p = command("table", "extract one row per full traversal")
+    command("expand", "rewrite alternatives as explicit siblings", _cmd_expand, with_rules=False)
+    command("materialize", "spell out inherited features at every node", _cmd_materialize)
+    p = command("table", "extract one row per full traversal", _cmd_table)
     p.add_argument("--cols", required=True, help="comma-separated feature names")
     p.add_argument("--format", default="tsv", choices=("tsv", "html"))
     return parser
@@ -126,8 +127,7 @@ def _listing(props: Iterable[Property]) -> str:
     return "".join(f"{prop.feature} : {format_value(prop.value)}\n" for prop in props)
 
 
-def _cmd_validate(args) -> int:
-    registry = _load_registry(args.rules)
+def _cmd_validate(args, registry: FeatureClassRegistry) -> int:
     violations = check_consistency(_read_tree(args.file, registry), registry)
     if not violations:
         print("OK")
@@ -137,15 +137,13 @@ def _cmd_validate(args) -> int:
     return SEMANTIC
 
 
-def _cmd_effective(args) -> int:
-    registry = _load_registry(args.rules)
+def _cmd_effective(args, registry: FeatureClassRegistry) -> int:
     tree = _read_tree(args.file, registry)
     sys.stdout.write(_listing(effective_set(tree, parse_path(args.path), registry).entries))
     return OK
 
 
-def _cmd_traversals(args) -> int:
-    registry = _load_registry(args.rules)
+def _cmd_traversals(args, registry: FeatureClassRegistry) -> int:
     # built whole before writing, so a failure partway leaves stdout empty
     blocks = [
         f"{format_path(path) if path else ''}\n{_listing(props)}"
@@ -155,20 +153,18 @@ def _cmd_traversals(args) -> int:
     return OK
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args, registry: None) -> int:
     sys.stdout.buffer.write(serialize_entry(expand_alternatives(_read_tree(args.file, None))))
     return OK
 
 
-def _cmd_materialize(args) -> int:
-    registry = _load_registry(args.rules)
+def _cmd_materialize(args, registry: FeatureClassRegistry) -> int:
     materialized = materialize_inheritance(expand_alternatives(_read_tree(args.file, registry)), registry)
     sys.stdout.buffer.write(serialize_entry(materialized))
     return OK
 
 
-def _cmd_table(args) -> int:
-    registry = _load_registry(args.rules)
+def _cmd_table(args, registry: FeatureClassRegistry) -> int:
     columns = [c.strip() for c in args.cols.split(",") if c.strip()]
     if not columns:
         raise _UsageError("--cols must name at least one feature")
@@ -178,20 +174,10 @@ def _cmd_table(args) -> int:
     return OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "effective": _cmd_effective,
-    "traversals": _cmd_traversals,
-    "expand": _cmd_expand,
-    "materialize": _cmd_materialize,
-    "table": _cmd_table,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args, _load_registry(args.rules) if "rules" in args else None)
     except LexitreeError as exc:
         hint = " (run: lexitree expand)" if isinstance(exc, UnexpandedAlternatives) else ""
         print(f"lexitree: {exc}{hint}", file=sys.stderr)

@@ -411,8 +411,9 @@ Violation = Union[OverwriteViolation, DependencyViolation]
 # Value comparison
 
 def normalize_text(text: str) -> str:
-    """NFC-normalize and trim. The comparison form for atomic values."""
-    return unicodedata.normalize("NFC", text).strip()
+    """NFC-normalize and trim XML whitespace (space, tab, CR, LF), as the parser
+    does; U+00A0 and the other spaces are text. The comparison form for atomic values."""
+    return unicodedata.normalize("NFC", text).strip(" \t\n\r")
 
 
 def _value_key(value: FeatureValue) -> str | tuple:
@@ -485,12 +486,8 @@ def iter_nodes(root: Node) -> Iterator[tuple[NodePath, Node]]:
 
 def _require_alt_free(root: Node) -> None:
     """Raise UnexpandedAlternatives at the first node in document order that has alternatives."""
-    path: list[int] = []
-    for depth, index, node in _preorder(root):
-        if depth:
-            path[depth - 1:] = (index,)
-        if node.alt_groups:
-            raise UnexpandedAlternatives(tuple(path))
+    if any(node.alt_groups for _, _, node in _preorder(root)):
+        raise UnexpandedAlternatives(next(path for path, node in iter_nodes(root) if node.alt_groups))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Grammar, one directive per line:
 
 Blank lines and lines starting with `#` are ignored. A `dep` governor must
 have been declared `over` on an earlier line; the required value is the rest
-of the line, so it may contain spaces. Feature names fold case.
+of the line, so it may contain spaces. Feature names fold case. The class
+words are the values of `FeatureClass`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,6 @@ import os
 from pathlib import Path
 
 from .model import DependencyRule, FeatureClass, FeatureClassRegistry, FeatureName, LexitreeError
-
-_CLASS_WORDS = {
-    "cum": FeatureClass.CUMULATIVE,
-    "over": FeatureClass.OVERWRITING,
-    "loc": FeatureClass.LOCAL,
-}
-
 
 class RulesError(LexitreeError):
     def __init__(self, source: str, line_number: int, message: str):
@@ -46,12 +40,12 @@ def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
                 if len(fields) != 3:
                     raise ValueError("expected: class <feature> <cum|over|loc>")
                 _, name, word = fields
-                if word not in _CLASS_WORDS:
+                if word not in {cls.value for cls in FeatureClass}:
                     raise ValueError(f"unknown class {word!r} (use cum, over, or loc)")
                 feature = FeatureName(name)
                 if feature in classes:
                     raise ValueError(f"feature {name!r} already classified")
-                classes[feature] = _CLASS_WORDS[word]
+                classes[feature] = FeatureClass(word)
             elif directive == "dep":
                 parts = line.split(None, 3)
                 if len(parts) != 4:

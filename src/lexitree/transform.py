@@ -127,23 +127,15 @@ def extract_table(root: Node, spec: TableSpec, registry: FeatureClassRegistry) -
     ]
 
 
-def render_tsv(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
-    lines = ["\t".join(str(c) for c in spec.columns)]
-    lines.extend("\t".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def render_html(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
+def render_table(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
+    """The header and rows as tab-separated lines, or as an HTML table."""
+    header = tuple(map(str, spec.columns))
+    if spec.format == "tsv":
+        return "\n".join("\t".join(cells) for cells in (header, *rows)) + "\n"
     lines = ["<table>"]
-    for tag, cells in [("th", map(str, spec.columns)), *(("td", row) for row in rows)]:
+    for tag, cells in [("th", header), *(("td", row) for row in rows)]:
         lines.append("  <tr>")
         lines.extend(f"    <{tag}>{_escape_text(cell)}</{tag}>" for cell in cells)
         lines.append("  </tr>")
     lines.append("</table>")
     return "\n".join(lines) + "\n"
-
-
-def render_table(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
-    if spec.format == "html":
-        return render_html(spec, rows)
-    return render_tsv(spec, rows)

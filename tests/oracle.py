@@ -15,7 +15,7 @@ from lexitree.model import Atomic, Composite, FeatureClass
 
 
 def _canon(text):
-    return unicodedata.normalize("NFC", text).strip()
+    return unicodedata.normalize("NFC", text).strip(" \t\n\r")  # XML whitespace only
 
 
 def _same_value(a, b):

@@ -435,6 +435,29 @@ def test_missing_rules_file_is_bad_argument(capsys, monkeypatch, tmp_path, via_e
     assert (code, out) == (1, "")
     assert err.startswith("lexitree: ") and "missing.rules" in err
     assert "Traceback" not in err
+    if via_env:  # expand takes no rules, so it never reads LEXITREE_RULES
+        assert run(capsys, "expand", FIXTURES / "leaf.xml")[::2] == (0, "")
+
+
+NO_SUCH = "lexitree: [Errno 2] No such file or directory: '{}'"
+
+
+@pytest.mark.parametrize(
+    "argv, code, first_line",
+    [
+        *(([command, "--rules", "{rules}", *extra], 1, NO_SUCH.format("{rules}"))  # the rules are read first
+          for command, extra in [("validate", []), ("effective", []), ("traversals", []),
+                                 ("materialize", []), ("table", ["--cols", "orth"])]),
+        (["table", "--cols", " , "], 1, "lexitree: --cols must name at least one feature"),  # before the read
+        (["table", "--cols", "Bad Name"], 1, "lexitree: invalid feature name 'Bad Name'"),
+        (["effective", "--path", "x"], 2, NO_SUCH.format("{input}")),  # the read comes before the path
+    ],
+)
+def test_checks_run_in_order_on_a_missing_input(capsys, tmp_path, argv, code, first_line):
+    names = {"input": tmp_path / "no_such.xml", "rules": tmp_path / "missing.rules"}
+    command, *rest = [a.format(**names) for a in argv]
+    got, out, err = run(capsys, command, names["input"], *rest)
+    assert (got, out, err.splitlines()[0]) == (code, "", first_line.format(**names))
 
 
 def test_parse_warnings_go_to_stderr_payload_to_stdout(capsys, tmp_path):

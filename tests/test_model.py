@@ -137,6 +137,23 @@ def test_values_compare_normalized():
         Composite([P("ex", "x ", n="1")]),
         Composite([P("ex", "x", n="1")]),
     )
+    for space in ("\u00a0", "\u202f", "\u3000", "\u0085", "\u2028"):  # text to the parser, so not trimmed
+        assert not values_equal(Atomic(f"{space}x"), Atomic("x"))
+        assert not values_equal(Atomic(f"x{space}"), Atomic("x"))
+
+
+def test_a_cumulative_value_with_a_leading_no_break_space_is_not_a_duplicate(registry):
+    tree = Node([P("orth", "x"), P("def", "x")], children=[Node([P("def", "\u00a0x")])])
+    child = entries_as_tuples(effective_set(tree, (0,), registry))
+    assert child == [("orth", "x", (), 0), ("def", "x", (), 0), ("def", "\u00a0x", (), 1)]
+
+
+def test_a_governor_with_a_trailing_no_break_space_does_not_license(registry):
+    # default rules: gen requires pos=noun
+    tree = Node([P("pos", "noun"), P("gen", "m")], children=[Node([P("pos", "noun\u00a0")])])
+    assert entries_as_tuples(effective_set(tree, (0,), registry)) == [("pos", "noun\u00a0", (), 1)]
+    own = Node([P("pos", "noun\u00a0"), P("gen", "m")])
+    assert [type(v) for v in check_consistency(own, registry)] == [DependencyViolation]
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,7 @@ from lexitree.transform import (
     expand_alternatives,
     extract_table,
     materialize_inheritance,
-    render_html,
     render_table,
-    render_tsv,
 )
 from lexitree.xmlio import parse_entry
 
@@ -205,6 +203,12 @@ def test_materialize_does_not_write_blocked_dependents():
     assert materialized.children[0].properties == (P("pos", "v"),)
 
 
+def test_materialize_keeps_a_value_that_differs_by_a_leading_no_break_space(registry):
+    tree, _ = parse_entry("<struc><orth>x</orth><def>x</def><struc><def>\u00a0x</def></struc></struc>".encode())
+    (child,) = materialize_inheritance(tree, registry).children
+    assert child.properties == (P("orth", "x"), P("def", "x"), P("def", "\u00a0x"))
+
+
 @given(tree_with_registry())
 @settings(max_examples=60)
 def test_materialize_idempotent_and_sound(tree_and_registry):
@@ -305,7 +309,7 @@ def test_table_spec_validation():
 def test_render_tsv(overdress, registry):
     spec = TableSpec(["orth", "pos", "def"])
     rows = extract_table(overdress, spec, registry)
-    assert render_tsv(spec, rows) == (
+    assert render_table(spec, rows) == (
         "orth\tpos\tdef\n"
         "overdress\tverb\tTo dress (oneself or another) too elaborately or finely\n"
         "overdress\tnoun\tA dress that may be worn over a jumper, blouse, etc.\n"
@@ -328,7 +332,7 @@ def test_render_html_shape_and_escaping(registry):
         "  </tr>\n"
         "</table>\n"
     )
-    assert render_html(spec, []) == "<table>\n  <tr>\n    <th>orth</th>\n    <th>pos</th>\n  </tr>\n</table>\n"
+    assert render_table(spec, []) == "<table>\n  <tr>\n    <th>orth</th>\n    <th>pos</th>\n  </tr>\n</table>\n"
 
 
 @given(tree_with_registry())

@@ -28,8 +28,11 @@ from lexitree.model import (
 from lexitree.xmlio import EncodingProfile
 
 FEATURES = ("fa", "fb", "fc", "fd", "fe", "ff")
-# "a\u00a0b": a no-break space is value text, not whitespace to collapse
-VALUES = tuple(unicodedata.normalize("NFC", v) for v in ("v0", "v1", "v2", "été", "à bas", "", "a\u00a0b"))
+# "a\u00a0b": a no-break space is value text, not whitespace to collapse;
+# "\u00a0v0" is a value apart from "v0", which the fold must not merge
+VALUES = tuple(
+    unicodedata.normalize("NFC", v) for v in ("v0", "v1", "v2", "été", "à bas", "", "a\u00a0b", "\u00a0v0")
+)
 ATTRS = (("type", "see"), ("n", "1"), ("note", 'a "q" &\nb'))
 
 XML_PROFILE = EncodingProfile(FEATURES)
@@ -144,7 +147,6 @@ def branching_xml_tree_with_rules(draw, max_depth: int = 4):
 
 def rules_text(registry: FeatureClassRegistry) -> str:
     """`registry` as a rules file."""
-    words = {FeatureClass.CUMULATIVE: "cum", FeatureClass.OVERWRITING: "over", FeatureClass.LOCAL: "loc"}
-    lines = [f"class {feature} {words[cls]}" for feature, cls in registry.classes.items()]
+    lines = [f"class {feature} {cls.value}" for feature, cls in registry.classes.items()]
     lines += [f"dep {r.dependent} {r.governor} {r.required_value}" for r in registry.rules]
     return "\n".join(lines) + "\n"
