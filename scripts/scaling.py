@@ -15,6 +15,12 @@ The canonical form indents each line by its depth, which makes a chain's
 document grow with levels²: the XML rows run only on chains of up to 2,000
 levels (a 16 MB document), and each prints the document's size.
 
+The stray-text rows time `parse_entry` of the balanced tree's document,
+clean and with a comma after its first start tag or before its last end tag.
+Text other than XML whitespace directly inside a structural element makes
+the parser start again with the handler that warns of it, so these rows give
+the restart's cost, early and late, against a clean document's one pass.
+
 The last rows time a refusal: the same chain with an alternative group at
 its deepest node, which `extract_table`, `materialize_inheritance` and
 `enumerate_traversals` must refuse with UnexpandedAlternatives. A refusal
@@ -116,6 +122,23 @@ def report(name, make, registry, with_materialize, with_xml):
         print(f"  {'parse_entry':<24} skipped above {XML_MAX_LEVELS:,} levels")
 
 
+def report_stray_text():
+    tree = balanced()
+    nodes = nodes_in(tree)
+    document = serialize_entry(tree)
+    first = document.index(b"<struc>") + len(b"<struc>")
+    last = document.rindex(b"</struc>")
+    print(f"stray text: balanced 3^9 ({nodes:,} nodes)")
+    for op, text in {
+        "parse_entry, clean": document,
+        "parse_entry, early": document[:first] + b"," + document[first:],
+        "parse_entry, late": document[:last] + b"," + document[last:],
+    }.items():
+        start = time.perf_counter()
+        parse_entry(text)
+        print_row(op, time.perf_counter() - start, nodes)
+
+
 def report_refusals(levels, registry):
     tree = chain(levels, alternatives=True)
     print(f"refusals: chain of {levels:,} levels, alternatives at the deepest node")
@@ -143,6 +166,7 @@ def main():
     report("balanced 3^9", balanced, registry, True, True)
     report(f"chain of {args.levels:,} levels", lambda: chain(args.levels), registry,
            args.levels <= MATERIALIZE_MAX_LEVELS, args.levels <= XML_MAX_LEVELS)
+    report_stray_text()
     report_refusals(args.levels, registry)
 
 

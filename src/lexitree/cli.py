@@ -123,8 +123,10 @@ def _read_tree(path: str, registry: FeatureClassRegistry | None) -> Node:
     return tree
 
 
-def _listing(props: Iterable[Property]) -> str:
-    return "".join(f"{prop.feature} : {format_value(prop.value)}\n" for prop in props)
+def _listing(props: Iterable[Property], lines: dict[int, str]) -> str:
+    """Each property's line is built once per `lines`, keyed by id(): the tree keeps every one alive."""
+    return "".join([lines.get(id(p)) or lines.setdefault(id(p), f"{p.feature} : {format_value(p.value)}\n")
+                    for p in props])
 
 
 def _cmd_validate(args, registry: FeatureClassRegistry) -> int:
@@ -139,14 +141,15 @@ def _cmd_validate(args, registry: FeatureClassRegistry) -> int:
 
 def _cmd_effective(args, registry: FeatureClassRegistry) -> int:
     tree = _read_tree(args.file, registry)
-    sys.stdout.write(_listing(effective_set(tree, parse_path(args.path), registry).entries))
+    sys.stdout.write(_listing(effective_set(tree, parse_path(args.path), registry).entries, {}))
     return OK
 
 
 def _cmd_traversals(args, registry: FeatureClassRegistry) -> int:
     # built whole before writing, so a failure partway leaves stdout empty
+    lines: dict[int, str] = {}
     blocks = [
-        f"{format_path(path) if path else ''}\n{_listing(props)}"
+        f"{format_path(path) if path else ''}\n{_listing(props, lines)}"
         for path, _, props in _effective_lists(_read_tree(args.file, registry), registry, leaves_only=not args.partial)
     ]
     sys.stdout.write("\n".join(blocks))

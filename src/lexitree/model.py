@@ -320,7 +320,8 @@ class FeatureClassRegistry(_Value):
         object.__setattr__(self, "default_class", default_class)
 
     def classify(self, feature: FeatureName | str) -> FeatureClass:
-        return self.classes.get(FeatureName(feature), self.default_class)
+        """The class of `feature`, or `default_class`; a name that is not a FeatureName is folded first."""
+        return self.classes.get(feature if isinstance(feature, FeatureName) else FeatureName(feature), self.default_class)
 
 
 class EffectiveFeatureSet(_Value):

@@ -5,16 +5,18 @@ Grammar, one directive per line:
     class <feature> <cum|over|loc>
     dep <dependent> <governor> <required-value>
 
-Blank lines and lines starting with `#` are ignored. A `dep` governor must
-have been declared `over` on an earlier line; the required value is the rest
-of the line, so it may contain spaces. Feature names fold case. The class
-words are the values of `FeatureClass`.
+Lines break at LF, CRLF or CR, and fields at runs of spaces and tabs. Blank
+lines and lines starting with `#` are ignored. A `dep` governor must have
+been declared `over` on an earlier line; the required value is the rest of
+the line, so it may contain spaces. Feature names fold case. The class words
+are the values of `FeatureClass`.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import re
 from pathlib import Path
 
 from .model import DependencyRule, FeatureClass, FeatureClassRegistry, FeatureName, LexitreeError
@@ -29,11 +31,11 @@ class RulesError(LexitreeError):
 def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
     classes: dict[FeatureName, FeatureClass] = {}
     rules: list[DependencyRule] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for number, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        line = raw.strip(" \t")  # the XML whitespace a line can hold
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        fields = re.split("[ \t]+", line)
         directive = fields[0]
         try:  # every refusal of a line, a bad feature name included, is reported at that line
             if directive == "class":
@@ -47,7 +49,7 @@ def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
                     raise ValueError(f"feature {name!r} already classified")
                 classes[feature] = FeatureClass(word)
             elif directive == "dep":
-                parts = line.split(None, 3)
+                parts = re.split("[ \t]+", line, maxsplit=3)
                 if len(parts) != 4:
                     raise ValueError("expected: dep <dependent> <governor> <value>")
                 _, dependent, governor, value = parts

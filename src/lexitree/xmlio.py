@@ -7,13 +7,15 @@ group), and `brack` (a grouping property whose value is a one-level bundle of
 feature elements). Every other element is a base element naming a feature;
 its text is the value and its XML attributes are carried verbatim.
 
-Parsing is one pass of expat callbacks. Each structural element gets a
-frame; a feature element gets none, and expat appends its text to a list with
-no Python call. Which element may open inside which is one table, `_CONTENT`,
-that also holds the refusal for the rest. Parsing is lenient by default:
-unknown elements become atomic properties and misplaced ones are skipped,
-each with a warning, so real dictionary data with extra tags degrades
-gracefully. With `strict` set on the profile they abort the parse instead.
+Parsing is one pass of expat callbacks. Each structural element gets a frame; a
+feature element gets none. Expat appends a feature element's text to a list and
+keeps each distinct chunk of text directly in a structural element once, with
+no Python call; stray text restarts the parse with a handler that warns of it.
+Which element may open inside which is one table, `_CONTENT`, that also holds
+the refusal for the rest. Parsing is lenient by default: unknown elements
+become atomic properties and misplaced ones are skipped, each with a warning,
+so real dictionary data with extra tags degrades gracefully. With `strict` set
+on the profile they abort the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
 wrapper, two-space indentation, one element per line, and NFC-normalized
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import re
+from itertools import islice
 import unicodedata
 from typing import Iterable
 from xml.parsers import expat
@@ -202,15 +205,28 @@ class _Frame:
         self.warned_text = False
 
 
+class _StrayText(Exception):
+    """Text directly inside a structural element is more than XML whitespace."""
+
+
 def parse_entry(
     document: bytes | str, profile: EncodingProfile = DEFAULT_PROFILE
 ) -> tuple[Node, list[ParseDiagnostic]]:
-    """Parse one encoded entry into a tree.
+    """Parse one encoded entry into a tree: one pass, or two if it holds stray text.
 
     Returns the tree plus any diagnostics. Malformed XML, a missing or
     multiplied entry node, and (in strict mode) unknown or misplaced elements
     raise ParseError subclasses instead.
     """
+    try:
+        return _parse(document, profile, exact=False)
+    except _StrayText:
+        return _parse(document, profile, exact=True)
+
+
+def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tuple[Node, list[ParseDiagnostic]]:
+    """One pass of `parse_entry`. Text directly inside structural elements goes to `chardata` if
+    `exact`, else to `between`; the next element event after stray text there restarts the parse."""
     parser = expat.ParserCreate()
     parser.ordered_attributes = True
     strict = profile.strict
@@ -222,6 +238,14 @@ def parse_entry(
     # attributes, its text chunks, and the count of markup open inside it.
     feature = carried = chunks = None
     flatten = 0
+    between: dict[str, None] = {}  # each distinct chunk once, in order of arrival
+    clean = 0  # len(between) when it last held XML whitespace only
+
+    def check_between() -> None:  # each chunk once: a deep entry's indentation has many lengths
+        nonlocal clean
+        if any(chunk.strip(" \t\n\r") for chunk in islice(reversed(between), len(between) - clean)):
+            raise _StrayText
+        clean = len(between)
 
     def diagnostic(severity: str, message: str) -> ParseDiagnostic:
         return ParseDiagnostic(severity, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1, message)
@@ -246,6 +270,8 @@ def parse_entry(
             flatten += 1
             warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
             return
+        if len(between) != clean:
+            check_between()
         kind, name, unknown = tags.get(tag) or tags.setdefault(tag, _resolve(tag, profile.base_elements))
         top = stack[-1]
         allowed, refusal = _CONTENT[top.kind]
@@ -287,8 +313,10 @@ def parse_entry(
                 return
             stack[-1].props.append(_unchecked_property(feature, Atomic(_collapse("".join(chunks))), carried))
             chunks = None
-            parser.CharacterDataHandler = chardata
+            parser.CharacterDataHandler = structural
             return
+        if len(between) != clean:  # the document element's end checks the last chunks
+            check_between()
         top = stack.pop()
         kind, parent = top.kind, stack[-1]
         if kind == "struc":
@@ -315,9 +343,10 @@ def parse_entry(
             stack[-1].warned_text = True
             warn("stray text inside a structural element; ignored")
 
+    structural = chardata if exact else between.setdefault
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    parser.CharacterDataHandler = chardata
+    parser.CharacterDataHandler = structural
     try:
         parser.Parse(document, True)
     except expat.ExpatError as exc:

@@ -73,6 +73,28 @@ def test_validate_reports_dependency_violation(capsys):
     assert "'gen'" in err and "'pos'" in err
 
 
+def test_validate_pins_each_stray_text_warning(capsys):
+    code, out, err = run(capsys, "validate", FIXTURES / "stray_text.xml")
+    assert (code, out) == (0, "OK\n")
+    assert err == "".join(
+        f"{FIXTURES / 'stray_text.xml'}: warning: line {line}, column {column}: "
+        "stray text inside a structural element; ignored\n"
+        for line, column in [(4, 26), (7, 23), (15, 18), (19, 40)]
+    )
+
+
+def test_a_required_value_may_end_in_a_no_break_space(capsys, tmp_path):
+    rules = tmp_path / "nbsp.rules"
+    rules.write_text("class orth over\nclass pos over\nclass gen over\ndep gen pos noun\u00a0\n", encoding="utf-8")
+    doc = tmp_path / "nbsp.xml"
+    doc.write_text("<struc><orth>x</orth><pos>noun\u00a0</pos><gen>f</gen></struc>", encoding="utf-8")
+    assert run(capsys, "validate", doc, "--rules", rules) == (0, "OK\n", "")
+    doc.write_text("<struc><orth>x</orth><pos>noun</pos><gen>f</gen></struc>", encoding="utf-8")
+    code, out, err = run(capsys, "validate", doc, "--rules", rules)
+    assert (code, out) == (1, "")
+    assert err == "(root): feature 'gen' requires 'pos'='noun\\xa0' but the effective value is 'noun'\n"
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", FIXTURES / "no_such.xml")
     assert code == 2

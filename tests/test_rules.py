@@ -51,6 +51,26 @@ def test_rules_errors_carry_line_and_reason(text, fragment):
     assert fragment in str(err.value)
 
 
+# Characters str.splitlines breaks lines at, besides LF, CRLF and CR.
+_OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _OTHER_LINE_BREAKS)
+def test_lines_break_only_at_lf_crlf_and_cr(char):
+    registry = parse_rules(f"class pos over\r\nclass gen over\rdep gen pos no{char}un\n")
+    assert registry.rules == (DependencyRule("gen", "pos", f"no{char}un"),)
+    with pytest.raises(RulesError, match=r"^test.rules:3: unknown directive 'klass'$"):
+        parse_rules(f"class pos over\n# a comment{char}more comment\nklass x\n", source="test.rules")
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000", *_OTHER_LINE_BREAKS])
+def test_fields_are_trimmed_and_split_at_spaces_and_tabs_only(space):
+    registry = parse_rules(f"\tclass pos\t over \nclass gen over\ndep gen pos {space}noun{space} \t\n")
+    assert registry.rules == (DependencyRule("gen", "pos", f"{space}noun{space}"),)
+    with pytest.raises(RulesError, match="^test.rules:1: unknown directive"):
+        parse_rules(f"class{space}pos over", source="test.rules")
+
+
 def test_rules_feature_names_fold_case():
     registry = parse_rules("class Pos over\nclass DEF cum\ndep Gen POS noun")
     assert registry.classify("pos") is FeatureClass.OVERWRITING

@@ -1,12 +1,14 @@
 import gc
+from xml.parsers import expat
 
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
-from conftest import P, fixture_bytes
+from conftest import FIXTURES, P, fixture_bytes
 from treegen import XML_PROFILE, xml_trees
 
+from lexitree import xmlio
 from lexitree.model import AltGroup, Atomic, Composite, Node, Property
 from lexitree.transform import materialize_inheritance
 from lexitree.xmlio import (
@@ -322,7 +324,8 @@ def test_a_parse_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        for document in (fixture_bytes("pinna.xml"), b"<struc><orth>x</struc>", b"<struc><sensenum/></struc>"):
+        for document in (fixture_bytes("pinna.xml"), b"<struc><orth>x</struc>", b"<struc><sensenum/></struc>",
+                         fixture_bytes("stray_text.xml")):
             try:
                 parse_entry(document, STRICT)
             except ParseError:
@@ -538,3 +541,82 @@ def test_tag_soup_parses_alike_from_str_and_bytes(document, profile):
         except ParseError as exc:
             outcomes.append((exc.__class__, exc.diagnostic))
     assert outcomes[0] == outcomes[1]
+
+
+# ---------------------------------------------------------------------------
+# One pass for clean documents, a restart for stray text
+
+
+def outcome(parse, document, profile=DEFAULT_PROFILE):
+    """What a parse gives: the tree and diagnostics, or the error's class and diagnostic."""
+    try:
+        return parse(document, profile)
+    except ParseError as exc:
+        return exc.__class__, exc.diagnostic
+
+
+def exact_parse(document, profile=DEFAULT_PROFILE):
+    """The pass that warns of stray text as it goes, never collecting it first."""
+    return xmlio._parse(document, profile, exact=True)
+
+
+# Text for the gaps between the serializer's lines, all of them directly inside
+# a structural element: whitespace, other spaces, punctuation, references,
+# a comment and CDATA sections.
+_GAP_TEXT = (" ", "\t", "\n  ", "\r\n", "\u00a0", ",", "&amp;", "&#10;", "<!-- c -->", "<![CDATA[x]]>",
+             "<![CDATA[ ]]>")
+
+
+@settings(max_examples=200)
+@given(xml_trees(), st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_GAP_TEXT)), max_size=4))
+def test_parse_equals_the_exact_pass_with_text_in_structural_gaps(tree, inserts):
+    lines = serialize_entry(tree, XML_PROFILE).decode("utf-8").split("\n")
+    for position, text in inserts:
+        lines[1 + position % (len(lines) - 3)] += text  # from <dict> to the line before </dict>
+    document = "\n".join(lines).encode("utf-8")
+    assert outcome(parse_entry, document, XML_PROFILE) == outcome(exact_parse, document, XML_PROFILE)
+
+
+@settings(max_examples=300)
+@given(tag_soup(), st.sampled_from([DEFAULT_PROFILE, STRICT]))
+def test_tag_soup_parses_as_the_exact_pass_does(document, profile):
+    assert outcome(parse_entry, document, profile) == outcome(exact_parse, document, profile)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """A list that gets one item for each expat parser created."""
+    created = []
+    create = expat.ParserCreate
+
+    def counting(*args, **kwargs):
+        created.append(None)
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(expat, "ParserCreate", counting)
+    return created
+
+
+def parse_passes(passes, document, profile=DEFAULT_PROFILE):
+    passes.clear()
+    parse_entry(document, profile)
+    return len(passes)
+
+
+def test_clean_documents_parse_in_one_pass_and_stray_text_in_two(passes):
+    fixtures = sorted(FIXTURES.glob("*.xml"))
+    assert len(fixtures) > 10
+    for path in fixtures:
+        document = path.read_bytes()
+        assert parse_passes(passes, document) == (2 if path.name == "stray_text.xml" else 1), path.name
+        assert parse_passes(passes, document.replace(b"<struc>", b"<struc>,", 1)) == 2, path.name
+        written = serialize_entry(parse_entry(document)[0])
+        assert parse_passes(passes, written) == 1, path.name
+        closing = written.rindex(b"</struc>")
+        assert parse_passes(passes, written[:closing] + b";" + written[closing:]) == 2, path.name
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # parse_passes resets the count
+@given(tree=xml_trees())
+def test_serialized_trees_parse_in_one_pass(passes, tree):
+    assert parse_passes(passes, serialize_entry(tree, XML_PROFILE), XML_PROFILE) == 1
