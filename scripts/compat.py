@@ -30,6 +30,8 @@ COMMANDS = [
     ["validate", "--rules", "tests/fixtures/dep_n.rules"],
     ["effective"],
     ["effective", "--path", "0"],
+    ["effective", "--path", "0.0"],
+    ["effective", "--rules", "tests/fixtures/dep_n.rules", "--path", "0"],
     ["traversals"],
     ["traversals", "--partial"],
     ["expand"],

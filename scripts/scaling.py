@@ -9,6 +9,12 @@ is linear in the size of the tree costs about as much per node on the chain
 as on the balanced tree. `materialize_inheritance` writes levels²/2
 properties on a chain, so it runs only on chains of up to 5,000 levels.
 
+The `effective_set` row answers one query per node, every node of the tree,
+and prints the cost per query. A query folds its whole path, so on the
+balanced tree it costs about ten folds and on a chain levels/2 on average:
+the chain's queries cost levels²/2 folds in all, and run only on chains of
+up to 2,000 levels.
+
 The XML rows time `serialize_entry` of the tree and `parse_entry` of the
 bytes it wrote, so the parser's cost per element has a number of its own.
 The canonical form indents each line by its depth, which makes a chain's
@@ -26,6 +32,13 @@ its deepest node, which `extract_table`, `materialize_inheritance` and
 `enumerate_traversals` must refuse with UnexpandedAlternatives. A refusal
 that comes before any fold costs about as much per node as a bare walk.
 
+The quadratic rows time `check_consistency` on three shapes that the walk
+does not yet handle in linear time (ROADMAP item 4). A comb is a chain with
+a leaf beside the continuing child at every level, first or last: the walk
+copies the parent's whole state for every child but the last. On a chain
+whose `pos` alternates between verb and noun, each overwrite to verb makes
+the default rule `dep gen pos noun` scan the whole state for `gen`.
+
 Usage: PYTHONPATH=src python scripts/scaling.py [--levels N]
 """
 
@@ -40,28 +53,43 @@ from lexitree import (
     UnexpandedAlternatives,
     check_consistency,
     default_registry,
+    effective_set,
     enumerate_traversals,
     expand_alternatives,
     extract_table,
     materialize_inheritance,
     parse_entry,
+    partial_traversals,
     serialize_entry,
     unregistered_features,
 )
 
 MATERIALIZE_MAX_LEVELS = 5_000
 XML_MAX_LEVELS = 2_000
+EFFECTIVE_MAX_LEVELS = 2_000
 
 
 def level(i):
     return [Property("def", f"d{i}"), Property("ex", f"e{i}")]
 
 
-def chain(levels, alternatives=False):
+def flipping(i):
+    return [Property("pos", "verb" if i % 2 else "noun"), *level(i)]
+
+
+def chain(levels, alternatives=False, props=level):
     groups = [AltGroup([[Property("pos", "noun")], [Property("pos", "verb")]])] if alternatives else []
-    node = Node(level(levels - 1), groups)
+    node = Node(props(levels - 1), groups)
     for i in reversed(range(levels - 1)):
-        node = Node(level(i), children=[node])
+        node = Node(props(i), children=[node])
+    return node
+
+
+def comb(levels, leaf_first):
+    node = Node(level(levels - 1))
+    for i in reversed(range(levels - 1)):
+        leaf = Node([Property("ex", f"leaf{i}")])
+        node = Node(level(i), children=[leaf, node] if leaf_first else [node, leaf])
     return node
 
 
@@ -83,7 +111,7 @@ def nodes_in(tree):
     return count
 
 
-def operations(tree, twin, registry, with_materialize, with_xml):
+def operations(tree, twin, registry, with_materialize, with_xml, with_effective):
     spec = TableSpec(["def", "ex"])
     ops = {
         "check_consistency": lambda: check_consistency(tree, registry),
@@ -96,6 +124,9 @@ def operations(tree, twin, registry, with_materialize, with_xml):
     }
     if with_materialize:
         ops["materialize_inheritance"] = lambda: materialize_inheritance(tree, registry)
+    if with_effective:
+        queries = partial_traversals(tree)  # every node's path, built before the timing starts
+        ops["effective_set, per query"] = lambda: [effective_set(tree, path, registry) for path in queries]
     if with_xml:
         document = serialize_entry(tree)
         ops["serialize_entry"] = lambda: serialize_entry(tree)
@@ -107,11 +138,11 @@ def print_row(op, seconds, nodes):
     print(f"  {op:<24} {seconds * 1e6 / nodes:9.2f} µs/node  {seconds:8.3f} s")
 
 
-def report(name, make, registry, with_materialize, with_xml):
+def report(name, make, registry, with_materialize, with_xml, with_effective):
     tree, twin = make(), make()  # built apart, so == compares every property
     nodes = nodes_in(tree)
     print(f"{name} ({nodes:,} nodes)")
-    for op, run in operations(tree, twin, registry, with_materialize, with_xml).items():
+    for op, run in operations(tree, twin, registry, with_materialize, with_xml, with_effective).items():
         start = time.perf_counter()
         run()
         print_row(op, time.perf_counter() - start, nodes)
@@ -120,6 +151,8 @@ def report(name, make, registry, with_materialize, with_xml):
     if not with_xml:
         print(f"  {'serialize_entry':<24} skipped above {XML_MAX_LEVELS:,} levels")
         print(f"  {'parse_entry':<24} skipped above {XML_MAX_LEVELS:,} levels")
+    if not with_effective:
+        print(f"  {'effective_set, per query':<24} skipped above {EFFECTIVE_MAX_LEVELS:,} levels")
 
 
 def report_stray_text():
@@ -156,6 +189,18 @@ def report_refusals(levels, registry):
             raise SystemExit(f"{op} did not refuse a tree with alternatives")
 
 
+def report_quadratic(levels, registry):
+    print(f"known quadratic costs (ROADMAP item 4): check_consistency, {levels:,} levels")
+    for name, tree in {
+        "comb, leaf first": comb(levels, leaf_first=True),
+        "comb, leaf last": comb(levels, leaf_first=False),
+        "chain, pos alternating": chain(levels, props=flipping),
+    }.items():
+        start = time.perf_counter()
+        check_consistency(tree, registry)
+        print_row(name, time.perf_counter() - start, nodes_in(tree))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--levels", type=int, default=5_000, help="chain depth (default 5,000)")
@@ -163,11 +208,13 @@ def main():
     if args.levels < 1:
         parser.error("--levels must be at least 1")
     registry = default_registry()
-    report("balanced 3^9", balanced, registry, True, True)
+    report("balanced 3^9", balanced, registry, True, True, True)
     report(f"chain of {args.levels:,} levels", lambda: chain(args.levels), registry,
-           args.levels <= MATERIALIZE_MAX_LEVELS, args.levels <= XML_MAX_LEVELS)
+           args.levels <= MATERIALIZE_MAX_LEVELS, args.levels <= XML_MAX_LEVELS,
+           args.levels <= EFFECTIVE_MAX_LEVELS)
     report_stray_text()
     report_refusals(args.levels, registry)
+    report_quadratic(args.levels, registry)
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ call concurrently.
 from __future__ import annotations
 
 import re
-import unicodedata
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from unicodedata import normalize
 
 NodePath = tuple[int, ...]
 
@@ -414,7 +414,7 @@ Violation = Union[OverwriteViolation, DependencyViolation]
 def normalize_text(text: str) -> str:
     """NFC-normalize and trim XML whitespace (space, tab, CR, LF), as the parser
     does; U+00A0 and the other spaces are text. The comparison form for atomic values."""
-    return unicodedata.normalize("NFC", text).strip(" \t\n\r")
+    return normalize("NFC", text).strip(" \t\n\r")
 
 
 def _value_key(value: FeatureValue) -> str | tuple:
@@ -531,28 +531,39 @@ def attach_property(node: Node, prop: Property, registry: FeatureClassRegistry) 
 # present; a local entry's key is its index in the node's property list.
 _State = dict[object, tuple[Property, int, object]]
 
+_LOCAL, _CUMULATIVE = FeatureClass.LOCAL, FeatureClass.CUMULATIVE  # an Enum member lookup is slow
+
+
+def _rule_table(registry: FeatureClassRegistry) -> dict[FeatureName, list[tuple[FeatureName, str]]]:
+    """Each governor's (dependent, normalized required value) pairs, in rule order."""
+    table: dict[FeatureName, list[tuple[FeatureName, str]]] = {}
+    for rule in registry.rules:
+        table.setdefault(rule.governor, []).append((rule.dependent, normalize_text(rule.required_value)))
+    return table
+
 
 def _fold(
-    state: _State, node: Node, depth: int, registry: FeatureClassRegistry,
+    state: _State, node: Node, depth: int, classify: Callable[[FeatureName], FeatureClass], table: dict,
     doubled: list[tuple[Property, Property]] | None = None,
 ) -> list[int]:
     """Fold one node's properties onto the state it inherits, in place, as
     `effective_set` describes; return the keys of the node's local entries,
-    which its children drop. A second occurrence of an overwriting feature at
-    the node raises OverwriteConflict, or is skipped and appended to `doubled`
-    as (first, second) when that list is given.
-    """
+    which its children drop. `classify` runs once per property; an overwrite
+    reads its feature's rules from `table` (a `_rule_table`). A doubled
+    overwriting feature at the node raises OverwriteConflict, or is skipped
+    and appended to `doubled` as (first, second) when that list is given."""
     local_keys: list[int] = []
     seen_here: dict[FeatureName, Property] = {}
     for index, prop in enumerate(node.properties):
         feature = prop.feature
-        cls = registry.classify(feature)
-        if cls is FeatureClass.LOCAL:
+        cls = classify(feature)
+        if cls is _LOCAL:
             state[index] = (prop, depth, None)
             local_keys.append(index)
             continue
-        key = _value_key(prop.value)
-        if cls is FeatureClass.CUMULATIVE:
+        value = prop.value  # an atomic value's key is `_value_key`'s, worked out here
+        key = normalize("NFC", value.text).strip(" \t\n\r") if value.__class__ is Atomic else _value_key(value)
+        if cls is _CUMULATIVE:
             state.setdefault((feature, prop.attrs, key), (prop, depth, key))
             continue
         if feature in seen_here:
@@ -567,9 +578,9 @@ def _fold(
                 continue  # value already in force; nothing is overwritten
             del state[feature]
         state[feature] = (prop, depth, key)
-        for rule in registry.rules:
-            if rule.governor == feature and key != normalize_text(rule.required_value):
-                for blocked in [k for k, e in state.items() if e[0].feature == rule.dependent and e[1] < depth]:
+        for dependent, required in table.get(feature, ()):
+            if key != required:
+                for blocked in [k for k, e in state.items() if e[0].feature == dependent and e[1] < depth]:
                     del state[blocked]
     return local_keys
 
@@ -584,6 +595,7 @@ def _walk(root: Node, registry: FeatureClassRegistry) -> Iterator[tuple[list[int
     `path` and `state` are updated in place and hold only until the walk
     resumes. Only `check_consistency` and `_effective_lists` read it.
     """
+    classify, table = registry.classify, _rule_table(registry)
     path: list[int] = []
     stack: list[tuple[int, int, Node, _State, list[int]]] = [(0, 0, root, {}, [])]
     while stack:
@@ -593,7 +605,7 @@ def _walk(root: Node, registry: FeatureClassRegistry) -> Iterator[tuple[list[int
         for key in dropped:
             del state[key]
         doubled: list[tuple[Property, Property]] = []
-        local_keys = _fold(state, node, depth, registry, doubled)
+        local_keys = _fold(state, node, depth, classify, table, doubled)
         yield path, node, state, doubled
         last = len(node.children) - 1
         for i in range(last, -1, -1):
@@ -612,7 +624,7 @@ def _effective_lists(root: Node, registry: FeatureClassRegistry, leaves_only: bo
             first, second = doubled[0]
             raise OverwriteConflict(second.feature, first.value, second.value)
         if not (leaves_only and node.children):
-            yield path, node, [entry[0] for entry in state.values()]
+            yield path, node, list(map(itemgetter(0), state.values()))
 
 
 def effective_set(
@@ -633,16 +645,21 @@ def effective_set(
     * local values appear only when the contributing node is the endpoint.
 
     Raises PathOutOfRange for an unresolvable path and OverwriteConflict when
-    a visited node doubles up an overwriting feature.
+    a visited node doubles up an overwriting feature. The rules are read once
+    per call into a table keyed by governor; `classify` runs once per property.
     """
+    classify, table = registry.classify, _rule_table(registry)
     state: _State = {}
     local_keys: list[int] = []
     for depth, current in enumerate(_chain(root, path)):
         for key in local_keys:
             del state[key]
-        local_keys = _fold(state, current, depth, registry)
-    entries = state.values()
-    return EffectiveFeatureSet([e[0] for e in entries], [e[1] for e in entries])
+        local_keys = _fold(state, current, depth, classify, table)
+    result = object.__new__(EffectiveFeatureSet)
+    entries, depths, _ = zip(*state.values()) if state else ((), (), ())
+    object.__setattr__(result, "entries", entries)
+    object.__setattr__(result, "depths", depths)
+    return result
 
 
 def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violation]:
@@ -653,15 +670,16 @@ def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violat
     effective value is present but different from the rule's required value.
     A governor with no effective value at all, because it was never set or
     because a rule blocked it, is not reported; there is no value to
-    contradict.
+    contradict. A node's violations come in rule order, then property order.
     """
+    checks = [(rule, normalize_text(rule.required_value)) for rule in registry.rules]
     violations: list[Violation] = []
     for path, node, state, doubled in _walk(root, registry):
         for first, second in doubled:
             violations.append(OverwriteViolation(tuple(path), second.feature, first.value, second.value))
-        for rule in registry.rules:
+        for rule, required in checks:
             governor = state.get(rule.governor)
-            if governor is None or governor[2] == normalize_text(rule.required_value):
+            if governor is None or governor[2] == required:
                 continue
             for prop in node.properties:
                 if prop.feature == rule.dependent:

@@ -121,10 +121,14 @@ class TableSpec(_Value):
 def extract_table(root: Node, spec: TableSpec, registry: FeatureClassRegistry) -> list[tuple[str, ...]]:
     """One row per full traversal; a cell holds the column feature's value(s)
     in that traversal's effective set, multiple values joined with "; "."""
-    return [
-        tuple("; ".join(format_value(p.value) for p in props if p.feature == column) for column in spec.columns)
-        for _, _, props in _effective_lists(root, registry, leaves_only=True)
-    ]
+    rows = []
+    for _, _, props in _effective_lists(root, registry, leaves_only=True):
+        cells = {column: [] for column in spec.columns}  # one read fills every column, a repeated one too
+        for p in props:
+            if p.feature in cells:
+                cells[p.feature].append(format_value(p.value))
+        rows.append(tuple("; ".join(cells[column]) for column in spec.columns))
+    return rows
 
 
 def render_table(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:

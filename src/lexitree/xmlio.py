@@ -282,6 +282,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
                 raise UnknownElement(diagnostic("error", message))
             warn(f"{message}; skipped")
             skip_depth = 1
+            parser.CharacterDataHandler = None  # a skipped subtree's text is neither kept nor warned of
             return
         if top.alt_run and kind != "alt":
             flush_alt_run(top)
@@ -291,6 +292,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             warn(unknown)
             if name is None:
                 skip_depth = 1
+                parser.CharacterDataHandler = None
                 return
         if not kind:  # its text goes straight to the chunk list, with no Python call
             feature, carried, chunks = name, tuple(zip(attrs[::2], attrs[1::2])) if attrs else (), []
@@ -306,6 +308,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
         nonlocal skip_depth, flatten, chunks
         if skip_depth:
             skip_depth -= 1
+            parser.CharacterDataHandler = None if skip_depth else structural
             return
         if chunks is not None:
             if flatten:
@@ -339,7 +342,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
 
     def chardata(data: str) -> None:
         # text in a structural element; expat reports none outside the document element
-        if not (skip_depth or stack[-1].warned_text) and data.strip(" \t\n\r"):
+        if not stack[-1].warned_text and data.strip(" \t\n\r"):
             stack[-1].warned_text = True
             warn("stray text inside a structural element; ignored")
 

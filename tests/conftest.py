@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from lexitree.model import AltGroup, Atomic, Composite, Node, Property
+from lexitree.model import AltGroup, Atomic, Composite, FeatureClassRegistry, Node, Property
 from lexitree.rules import default_registry
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -12,6 +12,18 @@ def P(feature, value, **attrs):
     if isinstance(value, list):
         value = Composite([p for p in value])
     return Property(feature, value, tuple(attrs.items()))
+
+
+class CountingRegistry(FeatureClassRegistry):
+    """Classifies as `registry` does and counts its `classify` calls."""
+
+    def __init__(self, registry):
+        super().__init__(registry.classes, registry.rules, registry.default_class)
+        object.__setattr__(self, "calls", 0)
+
+    def classify(self, feature):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().classify(feature)
 
 
 @pytest.fixture

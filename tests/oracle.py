@@ -5,6 +5,9 @@ lists and local helpers, with no shortcuts and no shared code with the
 engine. Property tests and the acceptance sweep compare the engine's output
 against this, entry for entry, order and contributor depth included.
 
+`oracle_dependency_violations` replays `check_consistency`'s dependency
+check from the same per-path replay, one path per node.
+
 Expected trees are assumed valid (no doubled overwriting feature at a node);
 build them with attach_property.
 """
@@ -90,3 +93,24 @@ def oracle_effective_set(root, path, registry):
                     held.append([prop, depth])
 
     return [(prop, depth) for prop, depth in held]
+
+
+def oracle_dependency_violations(root, registry):
+    """Return [(path, dependent, governor, required value, governor's value), ...]
+    for every property whose rule's governor holds another value at its node:
+    nodes in document order, then rules in order, then properties in order."""
+    found = []
+    pending = [((), root)]
+    while pending:
+        path, node = pending.pop()
+        held = oracle_effective_set(root, path, registry)
+        for rule in registry.rules:
+            governors = [prop for prop, _ in held if prop.feature == rule.governor]
+            if not governors or _same_value(governors[0].value, Atomic(rule.required_value)):
+                continue
+            for prop in node.properties:
+                if prop.feature == rule.dependent:
+                    found.append((path, rule.dependent, rule.governor, rule.required_value, governors[0].value))
+        for index in reversed(range(len(node.children))):
+            pending.append((path + (index,), node.children[index]))
+    return found

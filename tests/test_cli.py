@@ -10,12 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIXTURES, P, fixture_bytes
+from conftest import FIXTURES, CountingRegistry, P, fixture_bytes
 from treegen import XML_PROFILE, branching_xml_tree_with_rules, rules_text
 
 from lexitree.cli import _build_parser, main, parse_path
 from lexitree.model import (
-    FeatureClassRegistry,
     Node,
     UnexpandedAlternatives,
     check_consistency,
@@ -236,19 +235,6 @@ def test_alternatives_are_reported_before_a_doubled_feature(capsys, tmp_path):
     assert err == "0: overwriting feature 'pos' appears twice ('noun' vs 'verb')\n"
 
 
-class _CountingRegistry(FeatureClassRegistry):
-    """Classifies as the default registry does and counts its `classify` calls."""
-
-    def __init__(self):
-        base = default_registry()
-        super().__init__(base.classes, base.rules, base.default_class)
-        object.__setattr__(self, "calls", 0)
-
-    def classify(self, feature):
-        object.__setattr__(self, "calls", self.calls + 1)
-        return super().classify(feature)
-
-
 def test_alternatives_are_refused_before_any_node_is_folded(capsys, monkeypatch, tmp_path):
     # A 1,200-level chain with an alternative group at its deepest node only.
     depth = 1200
@@ -263,12 +249,12 @@ def test_alternatives_are_refused_before_any_node_is_folded(capsys, monkeypatch,
         lambda registry: extract_table(tree, TableSpec(["def"]), registry),
         lambda registry: materialize_inheritance(tree, registry),
     ):
-        registry = _CountingRegistry()
+        registry = CountingRegistry(default_registry())
         with pytest.raises(UnexpandedAlternatives) as caught:
             operation(registry)
         assert caught.value.path == (0,) * (depth - 1)
         assert registry.calls == 0
-    registry = _CountingRegistry()
+    registry = CountingRegistry(default_registry())
     monkeypatch.setattr("lexitree.cli._load_registry", lambda _: registry)
     for which in ("--full", "--partial"):
         code, out, err = run(capsys, "traversals", doc, which)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import P, entries_as_tuples
-from oracle import oracle_effective_set
-from treegen import all_paths, tree_with_registry
+from oracle import oracle_dependency_violations, oracle_effective_set
+from treegen import all_paths, tree_with_interleaved_rules, tree_with_registry
 
 from lexitree.model import (
     AltGroup,
@@ -11,6 +11,7 @@ from lexitree.model import (
     Composite,
     DependencyRule,
     DependencyViolation,
+    EffectiveFeatureSet,
     FeatureClass,
     FeatureClassRegistry,
     FeatureName,
@@ -25,6 +26,7 @@ from lexitree.model import (
     effective_set,
     enumerate_traversals,
     format_path,
+    format_value,
     partial_traversals,
     resolve_path,
     unregistered_features,
@@ -418,6 +420,28 @@ def test_blocked_governor_is_not_reported():
     assert [(v.path, v.dependent, v.actual_value) for v in violations] == [((0,), "art", "f")]
 
 
+def test_violations_come_in_rule_order_then_property_order():
+    # rules on pos, case, pos: grouped by governor they would read gen, art, num, num
+    registry = FeatureClassRegistry(
+        {"pos": FeatureClass.OVERWRITING, "case": FeatureClass.OVERWRITING, "gen": FeatureClass.OVERWRITING,
+         "num": FeatureClass.CUMULATIVE, "art": FeatureClass.LOCAL},
+        [DependencyRule("gen", "pos", "noun"), DependencyRule("num", "case", "nom"), DependencyRule("art", "pos", "noun")],
+    )
+    node = Node([P("pos", "verb"), P("case", "acc"), P("art", "a"), P("num", "s"), P("gen", "m"), P("num", "p")])
+    tree = Node(children=[node, Node([P("case", "acc"), P("case", "dat"), P("num", "s")])])
+    assert [
+        (type(v).__name__, v.path, v.dependent if isinstance(v, DependencyViolation) else v.feature)
+        for v in check_consistency(tree, registry)
+    ] == [
+        ("DependencyViolation", (0,), "gen"),
+        ("DependencyViolation", (0,), "num"),
+        ("DependencyViolation", (0,), "num"),
+        ("DependencyViolation", (0,), "art"),
+        ("OverwriteViolation", (1,), "case"),
+        ("DependencyViolation", (1,), "num"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # traversals
 
@@ -459,7 +483,27 @@ def test_effective_set_matches_oracle(tree_and_registry):
     tree, registry = tree_and_registry
     for path in all_paths(tree):
         eff = effective_set(tree, path, registry)
-        assert list(eff.items()) == oracle_effective_set(tree, path, registry)
+        expected = oracle_effective_set(tree, path, registry)
+        assert list(eff.items()) == expected
+        # built without the checking constructor, the set equals and prints as a checked one
+        built = EffectiveFeatureSet([p for p, _ in expected], [d for _, d in expected])
+        assert (eff, repr(eff), hash(eff)) == (built, repr(built), hash(built))
+        assert type(eff.entries) is type(eff.depths) is tuple
+
+
+@given(tree_with_interleaved_rules())
+def test_effective_set_and_check_consistency_match_oracle_under_interleaved_rules(tree_and_registry):
+    tree, registry = tree_and_registry
+    for path in all_paths(tree):
+        assert list(effective_set(tree, path, registry).items()) == oracle_effective_set(tree, path, registry)
+    assert [
+        (v.path, v.dependent, v.governor, v.required_value, v.actual_value) for v in check_consistency(tree, registry)
+    ] == [(*head, format_value(value)) for *head, value in oracle_dependency_violations(tree, registry)]
+
+
+def test_empty_effective_set_equals_and_prints_as_the_checked_constructor(registry):
+    eff = effective_set(Node(children=[Node([P("ex", "x")])]), (), registry)
+    assert (eff, repr(eff), len(eff)) == (EffectiveFeatureSet((), ()), "EffectiveFeatureSet(entries=(), depths=())", 0)
 
 
 @given(tree_with_registry())

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import P, entries_as_tuples, fixture_bytes
+from conftest import CountingRegistry, P, entries_as_tuples, fixture_bytes
 from treegen import tree_with_registry
 
 from lexitree.model import (
@@ -14,10 +14,13 @@ from lexitree.model import (
     Node,
     OverwriteConflict,
     UnexpandedAlternatives,
+    check_consistency,
     effective_set,
     enumerate_traversals,
+    format_value,
     iter_nodes,
     partial_traversals,
+    resolve_path,
 )
 from lexitree.rules import parse_rules
 from lexitree.transform import (
@@ -341,3 +344,48 @@ def test_row_count_equals_full_traversals(tree_and_registry):
     tree, registry = tree_and_registry
     rows = extract_table(tree, TableSpec(["fa", "fb"]), registry)
     assert len(rows) == len(enumerate_traversals(tree))
+
+
+def test_table_cells_for_repeated_and_absent_columns_and_brack_values(registry):
+    leaf = Node([
+        P("orth", "x"),
+        P("def", ""),
+        P("brack", [P("ex", "a"), P("xr", "b", type="see")]),
+        P("def", "y"),
+    ])
+    rows = extract_table(leaf, TableSpec(["def", "brack", "pos", "def", "orth"]), registry)
+    assert rows == [("; y", "[ex : a, xr : b]", "", "; y", "x")]
+
+
+@given(tree_with_registry())
+@settings(max_examples=60)
+def test_table_cells_are_each_columns_values_in_effective_order(tree_and_registry):
+    tree, registry = tree_and_registry
+    columns = ["fa", "fb", "fa", "fc", "fd", "fe", "ff", "zz"]  # a repeated column, and one no tree has
+    expected = [
+        tuple(
+            "; ".join(format_value(p.value) for p in effective_set(tree, path, registry).entries if p.feature == c)
+            for c in columns
+        )
+        for path in enumerate_traversals(tree)
+    ]
+    assert extract_table(tree, TableSpec(columns), registry) == expected
+
+
+@given(tree_with_registry())
+@settings(max_examples=60)
+def test_every_fold_classifies_each_property_once(tree_and_registry):
+    tree, registry = tree_and_registry
+    walks = {
+        "check_consistency": lambda counting: check_consistency(tree, counting),
+        "materialize_inheritance": lambda counting: materialize_inheritance(tree, counting),
+        "extract_table": lambda counting: extract_table(tree, TableSpec(["fa"]), counting),
+    }
+    for name, walk in walks.items():
+        counting = CountingRegistry(registry)
+        walk(counting)
+        assert counting.calls == sum(len(node.properties) for _, node in iter_nodes(tree)), name
+    for path in partial_traversals(tree):
+        counting = CountingRegistry(registry)
+        effective_set(tree, path, counting)
+        assert counting.calls == sum(len(resolve_path(tree, path[:cut]).properties) for cut in range(len(path) + 1))

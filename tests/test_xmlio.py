@@ -616,6 +616,12 @@ def test_clean_documents_parse_in_one_pass_and_stray_text_in_two(passes):
         assert parse_passes(passes, written[:closing] + b";" + written[closing:]) == 2, path.name
 
 
+def test_text_in_skipped_subtrees_keeps_one_pass(passes):
+    for document in (b"<struc><x.y>1</x.y><orth>a</orth></struc>", _SKIPPED):
+        assert parse_passes(passes, document) == 1
+        assert outcome(parse_entry, document) == outcome(exact_parse, document)
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # parse_passes resets the count
 @given(tree=xml_trees())
 def test_serialized_trees_parse_in_one_pass(passes, tree):

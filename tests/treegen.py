@@ -43,7 +43,7 @@ def random_registry(rng: random.Random, with_rules: bool = True) -> FeatureClass
     rules = []
     if with_rules:
         governors = [f for f in FEATURES if classes[f] is FeatureClass.OVERWRITING]
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, 3)):
             if not governors:
                 break
             governor = rng.choice(governors)
@@ -143,6 +143,24 @@ def branching_xml_tree_with_rules(draw, max_depth: int = 4):
         )
         if registry.rules and local and any(len(node.children) >= 2 for node in nodes):
             return tree, registry
+
+
+@st.composite
+def tree_with_interleaved_rules(draw, max_depth: int = 4):
+    """A tree and a registry redrawn from the seed until two of its rules share
+    a governor with a rule of another governor between them, and some rule's
+    dependent is cumulative: where rule order differs from governor order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        registry = random_registry(rng)
+        governors = [rule.governor for rule in registry.rules]
+        interleaved = any(
+            governors[i] == governors[k] != governors[j]
+            for i in range(len(governors)) for j in range(i + 1, len(governors)) for k in range(j + 1, len(governors))
+        )
+        cumulative = any(registry.classes[rule.dependent] is FeatureClass.CUMULATIVE for rule in registry.rules)
+        if interleaved and cumulative:
+            return random_tree(rng, registry, max_depth=max_depth), registry
 
 
 def rules_text(registry: FeatureClassRegistry) -> str:
