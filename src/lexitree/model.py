@@ -179,19 +179,6 @@ class Property(_Value):
         object.__setattr__(self, "attrs", tuple(attrs))
 
 
-_set_feature, _set_value, _set_attrs = (getattr(Property, name).__set__ for name in Property._fields)
-
-
-def _unchecked_property(feature: FeatureName, value: FeatureValue, attrs: tuple[tuple[str, str], ...]) -> Property:
-    """`Property(feature, value, attrs)` without the constructor's checks, for parts the
-    XML parser has checked: a FeatureName, and a tuple of pairs with distinct, valid names."""
-    prop = object.__new__(Property)
-    _set_feature(prop, feature)
-    _set_value(prop, value)
-    _set_attrs(prop, attrs)
-    return prop
-
-
 class AltGroup(_Value):
     """Parallel alternatives: at least two, each a nonempty property bundle."""
 

@@ -7,24 +7,28 @@ group), and `brack` (a grouping property whose value is a one-level bundle of
 feature elements). Every other element is a base element naming a feature;
 its text is the value and its XML attributes are carried verbatim.
 
-Parsing is one pass of expat callbacks. Each structural element gets a frame; a
-feature element gets none. Expat appends a feature element's text to a list and
-keeps each distinct chunk of text directly in a structural element once, with
-no Python call; stray text restarts the parse with a handler that warns of it.
-Which element may open inside which is one table, `_CONTENT`, that also holds
-the refusal for the rest. Parsing is lenient by default: unknown elements
-become atomic properties and misplaced ones are skipped, each with a warning,
-so real dictionary data with extra tags degrades gracefully. With `strict` set
-on the profile they abort the parse instead.
+Parsing is one pass of expat callbacks, with text buffered so that each run
+arrives as one chunk. Each structural element gets a frame; a feature element
+gets none. Expat appends a feature element's text to a list and keeps each
+distinct chunk of text directly in a structural element once, with no Python
+call; stray text restarts the parse, unbuffered, with a handler that warns of
+it in place. Values and nodes are built through their slots. Which element may
+open inside which is one table, `_CONTENT`, that also holds the refusal for
+the rest. Parsing is lenient by default: unknown elements become atomic
+properties and misplaced ones are skipped, each with a warning, so real
+dictionary data with extra tags degrades gracefully. With `strict` set on the
+profile they abort the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
-wrapper, two-space indentation, one element per line, and NFC-normalized
-text. Parsing that form yields the original tree; trees that came from a
-parse re-serialize byte-identically. Two caveats follow from the encoding
-itself: adjacent alternative groups cannot be told apart (they re-parse as
-one group), and `gender` is accepted on input as an alias that canonicalizes
-to `gen`. Neither parsing nor writing recurses, so nesting depth is bounded
-by memory alone.
+wrapper, two-space indentation, one element per line, and NFC-normalized text.
+Parsing that form yields the original tree; trees that came from a parse
+re-serialize byte-identically. A value that would not read back as itself (a
+character outside XML, or XML whitespace other than single spaces between
+words) is refused. Each feature's tags and each property's element are built
+once per call. Two caveats follow from the encoding itself: adjacent
+alternative groups cannot be told apart (they re-parse as one group), and
+`gender` is accepted on input as an alias that canonicalizes to `gen`. Neither
+parsing nor writing recurses, so nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from __future__ import annotations
 import functools
 import re
 from itertools import islice
-import unicodedata
 from typing import Iterable
+from unicodedata import normalize
 from xml.parsers import expat
 
 from .model import (
@@ -44,7 +48,6 @@ from .model import (
     LexitreeError,
     Node,
     Property,
-    _unchecked_property,
     _Value,
 )
 
@@ -205,6 +208,13 @@ class _Frame:
         self.warned_text = False
 
 
+# The parser fills the slots of values whose parts it and expat have checked.
+_new = object.__new__
+_set_text, _set_bundle = Atomic.text.__set__, Composite.properties.__set__
+_set_feature, _set_value, _set_attrs = (getattr(Property, name).__set__ for name in Property._fields)
+_set_props, _set_groups, _set_children = (getattr(Node, name).__set__ for name in Node._fields)
+
+
 class _StrayText(Exception):
     """Text directly inside a structural element is more than XML whitespace."""
 
@@ -229,6 +239,9 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
     `exact`, else to `between`; the next element event after stray text there restarts the parse."""
     parser = expat.ParserCreate()
     parser.ordered_attributes = True
+    # Buffered, a text run arrives as one chunk, handed over before the next element event
+    # or handler change; the exact pass takes each chunk in place, for stray text's position.
+    parser.buffer_text = not exact
     strict = profile.strict
     tags = dict(_tag_table(profile))
     diagnostics: list[ParseDiagnostic] = []
@@ -314,7 +327,13 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             if flatten:
                 flatten -= 1
                 return
-            stack[-1].props.append(_unchecked_property(feature, Atomic(_collapse("".join(chunks))), carried))
+            text = chunks[0] if len(chunks) == 1 else "".join(chunks)
+            value, prop = _new(Atomic), _new(Property)
+            _set_text(value, " ".join(text.split()) if text.isascii() or text.isprintable() else _collapse(text))
+            _set_feature(prop, feature)
+            _set_value(prop, value)
+            _set_attrs(prop, carried)
+            stack[-1].props.append(prop)
             chunks = None
             parser.CharacterDataHandler = structural
             return
@@ -325,14 +344,23 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
         if kind == "struc":
             if top.alt_run:
                 flush_alt_run(top)
-            parent.children.append(Node(top.props, top.groups, top.children))
+            node = _new(Node)
+            _set_props(node, tuple(top.props))
+            _set_groups(node, tuple(top.groups))
+            _set_children(node, tuple(top.children))
+            parent.children.append(node)
         elif kind == "alt":
             if top.props:
                 parent.alt_run.append(tuple(top.props))
             else:
                 warn("empty <alt> dropped")
         elif kind == "brack":
-            parent.props.append(_unchecked_property(_BRACK, Composite(top.props), top.attrs))
+            value, prop = _new(Composite), _new(Property)
+            _set_bundle(value, tuple(top.props))
+            _set_feature(prop, _BRACK)
+            _set_value(prop, value)
+            _set_attrs(prop, top.attrs)
+            parent.props.append(prop)
         else:  # dict
             if len(top.children) > 1:
                 raise MultipleRoots(diagnostic("error", f"<dict> holds {len(top.children)} entry nodes; expected one"))
@@ -393,67 +421,68 @@ def _escape_attr(text: str) -> str:
     return _escape_text(text).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
 
 
-def _attr_string(prop: Property) -> str:
-    if not prop.attrs:
-        return ""
+def _attr_string(prop: Property, names: set[str]) -> str:
+    """The attributes of `prop` as XML; `names` holds the names already checked."""
     for name, value in prop.attrs:
-        if not (_carried(name + value) and _is_name(name)):
+        if not (_carried(value) and (name in names or _carried(name) and _is_name(name))):
             raise SerializeError(f"attribute {name!r} on feature {str(prop.feature)!r} cannot be written as XML")
+        names.add(name)
     return "".join(f' {name}="{_escape_attr(value)}"' for name, value in prop.attrs)
-
-
-def _emit_property(
-    prop: Property, profile: EncodingProfile, elements: dict[int, str], lines: list[str], indent: str
-) -> None:
-    element = elements.get(id(prop))
-    if element is not None:
-        lines.append(indent + element)
-        return
-    if isinstance(prop.value, Composite):
-        if prop.feature != "brack":
-            raise SerializeError(
-                f"composite value on feature {str(prop.feature)!r}; only 'brack' holds bundles"
-            )
-        if not prop.value.properties:
-            lines.append(f"{indent}<brack{_attr_string(prop)}/>")
-            return
-        lines.append(f"{indent}<brack{_attr_string(prop)}>")
-        for inner in prop.value.properties:
-            if isinstance(inner.value, Composite):
-                raise SerializeError("brack holds feature elements one level deep, nothing deeper")
-            lines.append(indent + "  " + _atomic_element(inner, profile, elements))
-        lines.append(f"{indent}</brack>")
-        return
-    if prop.feature == "brack":
-        raise SerializeError("'brack' must hold a bundle of properties, not plain text")
-    lines.append(indent + _atomic_element(prop, profile, elements))
-
-
-def _atomic_element(prop: Property, profile: EncodingProfile, elements: dict[int, str]) -> str:
-    """The one-line element of an atomic property, built once per call and
-    kept in `elements` by id: nodes share inherited Property objects, and the
-    tree keeps every one alive while it is written."""
-    element = elements.get(id(prop))
-    if element is None:
-        if prop.feature not in profile.base_elements:
-            raise UnknownFeature(prop.feature)
-        assert isinstance(prop.value, Atomic)
-        text = unicodedata.normalize("NFC", prop.value.text)
-        if not _carried(text):
-            raise SerializeError(f"value of feature {str(prop.feature)!r} holds a character XML cannot carry")
-        head = f"<{prop.feature}{_attr_string(prop)}"
-        element = elements[id(prop)] = f"{head}>{_escape_text(text)}</{prop.feature}>" if text else f"{head}/>"
-    return element
 
 
 def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> bytes:
     """Write a tree in the canonical encoding (UTF-8 bytes).
 
     Every feature must have a base element in the profile ('brack' is always
-    allowed). Node layout is properties, then alternatives, then children.
+    allowed), and every value must read back as written: XML must carry its
+    characters, and its XML whitespace must be single spaces between words.
+    Node layout is properties, then alternatives, then children.
     """
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<dict>"]
-    elements: dict[int, str] = {}  # id(atomic property) -> its element; see _atomic_element
+    # Built once per call: each atomic property's element by id (nodes share inherited Property
+    # objects, which the tree keeps alive while it is written), each feature's tags, the names checked.
+    elements: dict[int, str] = {}
+    tags: dict[FeatureName, tuple[str, str]] = {}
+    names: set[str] = set()
+
+    def atomic(prop: Property) -> str:
+        feature, text = prop.feature, normalize("NFC", prop.value.text)
+        tag = tags.get(feature)
+        if tag is None:
+            if feature not in profile.base_elements:
+                raise UnknownFeature(feature)
+            tag = tags[feature] = f"<{feature}", f"</{feature}>"
+        # printable text has no XML whitespace but the space: it reads back unless a space leads, trails or doubles
+        if not text.isprintable() or "  " in f" {text} ":
+            if not _carried(text):
+                raise SerializeError(f"value of feature {str(feature)!r} holds a character XML cannot carry")
+            if _collapse(text) != text:
+                raise SerializeError(f"value of feature {str(feature)!r} has XML whitespace that would not read back")
+        head = tag[0] + _attr_string(prop, names) if prop.attrs else tag[0]
+        # _escape_text less "\r", which never reads back
+        escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        element = elements[id(prop)] = f"{head}>{escaped}{tag[1]}" if text else f"{head}/>"
+        return element
+
+    def emit(prop: Property, indent: str) -> None:
+        if isinstance(prop.value, Composite):
+            if prop.feature != "brack":
+                raise SerializeError(f"composite value on feature {str(prop.feature)!r}; only 'brack' holds bundles")
+            head = f"{indent}<brack{_attr_string(prop, names)}"
+            if not prop.value.properties:
+                lines.append(f"{head}/>")
+                return
+            lines.append(f"{head}>")
+            for inner in prop.value.properties:
+                if isinstance(inner.value, Composite):
+                    raise SerializeError("brack holds feature elements one level deep, nothing deeper")
+                lines.append(indent + "  " + (elements.get(id(inner)) or atomic(inner)))
+            lines.append(f"{indent}</brack>")
+        elif prop.feature == "brack":
+            raise SerializeError("'brack' must hold a bundle of properties, not plain text")
+        else:
+            lines.append(indent + (elements.get(id(prop)) or atomic(prop)))
+
     # pending work, last first: a (node, indent) to open or a closing tag to write
     stack: list[tuple[Node, str] | str] = [(root, "  ")]
     while stack:
@@ -467,13 +496,17 @@ def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> b
             continue
         lines.append(f"{indent}<struc>")
         inner = indent + "  "
-        for prop in node.properties:
-            _emit_property(prop, profile, elements, lines, inner)
+        for prop in node.properties:  # a shared property's element is read here, with no call
+            element = elements.get(id(prop))
+            if element is None:
+                emit(prop, inner)
+            else:
+                lines.append(inner + element)
         for group in node.alt_groups:
             for alternative in group.alternatives:
                 lines.append(f"{inner}<alt>")
                 for prop in alternative:
-                    _emit_property(prop, profile, elements, lines, inner + "  ")
+                    emit(prop, inner + "  ")
                 lines.append(f"{inner}</alt>")
         if node.children:
             stack.append(f"{indent}</struc>")

@@ -1,4 +1,5 @@
 import gc
+import unicodedata
 from xml.parsers import expat
 
 import pytest
@@ -292,6 +293,17 @@ def test_value_joins_entities_cdata_and_character_references_and_drops_comments(
     assert (tree, diagnostics) == (Node([P("def", "a & <b>c\u00e9")]), [])
 
 
+def test_a_value_longer_than_the_text_buffer_is_read_whole():
+    # the first pass takes text in pieces of up to 8,192 characters; the fixture's value
+    # splits among references, CDATA and comments, and its indentation gap splits too
+    lines = [" ".join(f"w{12 * n + i:04d}" for i in range(12)) for n in range(120)]
+    lines[100:100] = ["a & b \u00e9 <c>df"] * 24
+    expected = Node([P("orth", "long"), P("def", " ".join(lines))], children=[Node([P("pos", "noun")])])
+    assert len(" ".join(lines)) > 8192
+    document = fixture_bytes("long_text.xml")
+    assert parse_entry(document) == exact_parse(document) == (expected, [])
+
+
 # Whitespace to str.split and str.strip that XML does not collapse.
 _NON_XML_SPACES = ["\u00a0", "\u202f", "\u3000", "\u0085", "\u2028"]
 
@@ -400,6 +412,21 @@ def test_serialize_rejects_out_of_encoding_values():
         with pytest.raises(SerializeError) as err:
             serialize_entry(Node([prop]))
         assert named in str(err.value), prop
+
+
+def test_serialize_refuses_whitespace_that_would_not_read_back():
+    # the parser trims a value and collapses its runs of XML whitespace
+    for text in (" a", "a ", "a  b", "a\tb", "a\nb", "a\rb", " ", "\t\n\r", " a  b\n", "\u00e9 "):
+        for prop in (P("def", text), P("brack", [P("ex", "e"), P("xr", text)])):
+            with pytest.raises(SerializeError) as err:
+                serialize_entry(Node([P("orth", "x"), prop]))
+            assert ("def" if prop.feature == "def" else "xr") in str(err.value), repr(text)
+    with pytest.raises(SerializeError) as err:
+        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("pos", "n")], [P("pos", "v ")]])]))
+    assert "pos" in str(err.value)
+    for text in ("", "a b", "\u00a0a\u00a0 b", "e\u0301 f"):  # what reads back is written
+        tree = Node([P("orth", "x"), P("def", text)])
+        assert parse_entry(serialize_entry(tree))[0] == Node([P("orth", "x"), P("def", unicodedata.normalize("NFC", text))])
 
 
 def _unshared(node):
@@ -562,9 +589,9 @@ def exact_parse(document, profile=DEFAULT_PROFILE):
 
 # Text for the gaps between the serializer's lines, all of them directly inside
 # a structural element: whitespace, other spaces, punctuation, references,
-# a comment and CDATA sections.
+# a comment and CDATA sections; and runs longer than the first pass's 8,192-character text buffer.
 _GAP_TEXT = (" ", "\t", "\n  ", "\r\n", "\u00a0", ",", "&amp;", "&#10;", "<!-- c -->", "<![CDATA[x]]>",
-             "<![CDATA[ ]]>")
+             "<![CDATA[ ]]>", " " * 9000, "\n" * 8190 + "&#10;<!-- c -->\t;")
 
 
 @settings(max_examples=200)
