@@ -16,10 +16,15 @@ the chain's queries cost levels²/2 folds in all, and run only on chains of
 up to 2,000 levels.
 
 The XML rows time `serialize_entry` of the tree and `parse_entry` of the
-bytes it wrote, so the parser's cost per element has a number of its own.
-The canonical form indents each line by its depth, which makes a chain's
-document grow with levels²: the XML rows run only on chains of up to 2,000
-levels (a 16 MB document), and each prints the document's size.
+bytes it wrote, so the parser's cost per element has a number of its own;
+the parse row prints the document's size. The canonical form indents each
+line by its depth up to 64 levels, so a chain's document grows linearly.
+
+The memory row runs `lexitree materialize` on a chain of up to 1,000 levels
+in a process of its own, through `bench/cli_probe.py`, and prints the size
+of what it wrote (levels²/2 properties) and the process's peak RSS. The
+command writes its output in chunks, so the peak stays near the size of the
+materialized tree rather than that of the document.
 
 The stray-text rows time `parse_entry` of the balanced tree's document,
 clean and with a comma after its first start tag or before its last end tag.
@@ -43,7 +48,15 @@ Usage: PYTHONPATH=src python scripts/scaling.py [--levels N]
 """
 
 import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
+
+import lexitree
 
 from lexitree import (
     AltGroup,
@@ -65,8 +78,9 @@ from lexitree import (
 )
 
 MATERIALIZE_MAX_LEVELS = 5_000
-XML_MAX_LEVELS = 2_000
 EFFECTIVE_MAX_LEVELS = 2_000
+MEMORY_MAX_LEVELS = 1_000
+PROBE = Path(__file__).resolve().parent.parent / "bench" / "cli_probe.py"
 
 
 def level(i):
@@ -111,7 +125,7 @@ def nodes_in(tree):
     return count
 
 
-def operations(tree, twin, registry, with_materialize, with_xml, with_effective):
+def operations(tree, twin, registry, with_materialize, with_effective):
     spec = TableSpec(["def", "ex"])
     ops = {
         "check_consistency": lambda: check_consistency(tree, registry),
@@ -127,10 +141,9 @@ def operations(tree, twin, registry, with_materialize, with_xml, with_effective)
     if with_effective:
         queries = partial_traversals(tree)  # every node's path, built before the timing starts
         ops["effective_set, per query"] = lambda: [effective_set(tree, path, registry) for path in queries]
-    if with_xml:
-        document = serialize_entry(tree)
-        ops["serialize_entry"] = lambda: serialize_entry(tree)
-        ops[f"parse_entry ({len(document) / 1e6:.1f} MB)"] = lambda: parse_entry(document)
+    document = serialize_entry(tree)
+    ops["serialize_entry"] = lambda: serialize_entry(tree)
+    ops[f"parse_entry ({len(document) / 1e6:.1f} MB)"] = lambda: parse_entry(document)
     return ops
 
 
@@ -138,19 +151,16 @@ def print_row(op, seconds, nodes):
     print(f"  {op:<24} {seconds * 1e6 / nodes:9.2f} µs/node  {seconds:8.3f} s")
 
 
-def report(name, make, registry, with_materialize, with_xml, with_effective):
+def report(name, make, registry, with_materialize, with_effective):
     tree, twin = make(), make()  # built apart, so == compares every property
     nodes = nodes_in(tree)
     print(f"{name} ({nodes:,} nodes)")
-    for op, run in operations(tree, twin, registry, with_materialize, with_xml, with_effective).items():
+    for op, run in operations(tree, twin, registry, with_materialize, with_effective).items():
         start = time.perf_counter()
         run()
         print_row(op, time.perf_counter() - start, nodes)
     if not with_materialize:
         print(f"  {'materialize_inheritance':<24} skipped above {MATERIALIZE_MAX_LEVELS:,} levels")
-    if not with_xml:
-        print(f"  {'serialize_entry':<24} skipped above {XML_MAX_LEVELS:,} levels")
-        print(f"  {'parse_entry':<24} skipped above {XML_MAX_LEVELS:,} levels")
     if not with_effective:
         print(f"  {'effective_set, per query':<24} skipped above {EFFECTIVE_MAX_LEVELS:,} levels")
 
@@ -170,6 +180,26 @@ def report_stray_text():
         start = time.perf_counter()
         parse_entry(text)
         print_row(op, time.perf_counter() - start, nodes)
+
+
+def report_memory(levels):
+    """`lexitree materialize` of a chain, as its own process: bytes written and peak RSS."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lexitree.__file__).resolve().parent.parent))
+    with tempfile.TemporaryDirectory() as tmp:
+        document = Path(tmp) / "chain.xml"
+        document.write_bytes(serialize_entry(chain(levels)))
+        with subprocess.Popen([sys.executable, str(PROBE), "materialize", str(document)], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            written = 0
+            while block := proc.stdout.read(1 << 16):  # counted, not kept
+                written += len(block)
+            report = proc.stderr.read().decode().rstrip("\n").rpartition("\n")[2]
+    if proc.returncode:
+        raise SystemExit(f"lexitree materialize failed on the {levels:,}-level chain: {report}")
+    peak = json.loads(report)["maxrss_mb"]
+    print(f"memory: lexitree materialize, chain of {levels:,} levels")
+    print(f"  {'output':<24} {written / 1e6:9.1f} MB")
+    print(f"  {'peak RSS':<24} {peak:9.1f} MB")
 
 
 def report_refusals(levels, registry):
@@ -208,10 +238,10 @@ def main():
     if args.levels < 1:
         parser.error("--levels must be at least 1")
     registry = default_registry()
-    report("balanced 3^9", balanced, registry, True, True, True)
+    report("balanced 3^9", balanced, registry, True, True)
     report(f"chain of {args.levels:,} levels", lambda: chain(args.levels), registry,
-           args.levels <= MATERIALIZE_MAX_LEVELS, args.levels <= XML_MAX_LEVELS,
-           args.levels <= EFFECTIVE_MAX_LEVELS)
+           args.levels <= MATERIALIZE_MAX_LEVELS, args.levels <= EFFECTIVE_MAX_LEVELS)
+    report_memory(min(args.levels, MEMORY_MAX_LEVELS))
     report_stray_text()
     report_refusals(args.levels, registry)
     report_quadratic(args.levels, registry)

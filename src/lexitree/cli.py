@@ -34,14 +34,14 @@ from .model import (
     _effective_lists,
     check_consistency,
     effective_set,
-    enumerate_traversals,  # this and partial_traversals are not called here; bench/commands.py wraps them
+    enumerate_traversals,  # this, partial_traversals and serialize_entry: uncalled here; bench/commands.py wraps them
     format_path,
     format_value,
     partial_traversals,
     unregistered_features,
 )
 from .transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance, render_table
-from .xmlio import DEFAULT_PROFILE, parse_entry, serialize_entry
+from .xmlio import DEFAULT_PROFILE, parse_entry, serialize_chunks, serialize_entry
 
 OK = 0
 SEMANTIC = 1
@@ -157,13 +157,14 @@ def _cmd_traversals(args, registry: FeatureClassRegistry) -> int:
 
 
 def _cmd_expand(args, registry: None) -> int:
-    sys.stdout.buffer.write(serialize_entry(expand_alternatives(_read_tree(args.file, None))))
+    # every property is checked before the first chunk, so a refused tree leaves stdout empty
+    sys.stdout.buffer.writelines(serialize_chunks(expand_alternatives(_read_tree(args.file, None))))
     return OK
 
 
 def _cmd_materialize(args, registry: FeatureClassRegistry) -> int:
     materialized = materialize_inheritance(expand_alternatives(_read_tree(args.file, registry)), registry)
-    sys.stdout.buffer.write(serialize_entry(materialized))
+    sys.stdout.buffer.writelines(serialize_chunks(materialized))
     return OK
 
 

@@ -20,12 +20,15 @@ dictionary data with extra tags degrades gracefully. With `strict` set on the
 profile they abort the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
-wrapper, two-space indentation, one element per line, and NFC-normalized text.
-Parsing that form yields the original tree; trees that came from a parse
-re-serialize byte-identically. A value that would not read back as itself (a
-character outside XML, or XML whitespace other than single spaces between
-words) is refused. Each feature's tags and each property's element are built
-once per call. Two caveats follow from the encoding itself: adjacent
+wrapper, two-space indentation per level up to 64 levels, one element per
+line, and NFC-normalized text. Parsing that form yields the original tree;
+trees that came from a parse re-serialize byte-identically. A value that would
+not read back as itself (a character outside XML, or XML whitespace other than
+single spaces between words) is refused. The writer makes two passes. The
+first builds and checks each distinct property's element once, as UTF-8, so a
+refusal comes before any output; the second yields the document in chunks of
+about a thousand lines (`serialize_chunks`), so a caller can write it without
+holding it whole. Two caveats follow from the encoding itself: adjacent
 alternative groups cannot be told apart (they re-parse as one group), and
 `gender` is accepted on input as an alias that canonicalizes to `gen`. Neither
 parsing nor writing recurses, so nesting depth is bounded by memory alone.
@@ -36,7 +39,7 @@ from __future__ import annotations
 import functools
 import re
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 from unicodedata import normalize
 from xml.parsers import expat
 
@@ -421,98 +424,137 @@ def _escape_attr(text: str) -> str:
     return _escape_text(text).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
 
 
-def _attr_string(prop: Property, names: set[str]) -> str:
-    """The attributes of `prop` as XML; `names` holds the names already checked."""
-    for name, value in prop.attrs:
-        if not (_carried(value) and (name in names or _carried(name) and _is_name(name))):
-            raise SerializeError(f"attribute {name!r} on feature {str(prop.feature)!r} cannot be written as XML")
-        names.add(name)
-    return "".join(f' {name}="{_escape_attr(value)}"' for name, value in prop.attrs)
+# A line is indented by its depth up to _MAX_INDENT levels, so a deep chain writes linear bytes.
+# A node's level stops at the cap and its lines lie at most three levels below it.
+_MAX_INDENT = 64
+_INDENTS = tuple(b"\n" + b"  " * min(level, _MAX_INDENT) for level in range(_MAX_INDENT + 4))
+_OPEN, _CLOSE, _EMPTY, _ALT, _END_ALT = (
+    tuple(indent + tag for indent in _INDENTS) for tag in (b"<struc>", b"</struc>", b"<struc/>", b"<alt>", b"</alt>"))
+_CHUNK_LINES = 1024  # a chunk ends before the first node or closing tag past this many lines
 
 
 def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> bytes:
-    """Write a tree in the canonical encoding (UTF-8 bytes).
+    """Write a tree in the canonical encoding (UTF-8 bytes): `serialize_chunks` joined.
 
     Every feature must have a base element in the profile ('brack' is always
     allowed), and every value must read back as written: XML must carry its
     characters, and its XML whitespace must be single spaces between words.
     Node layout is properties, then alternatives, then children.
     """
-    lines = ['<?xml version="1.0" encoding="utf-8"?>', "<dict>"]
-    # Built once per call: each atomic property's element by id (nodes share inherited Property
-    # objects, which the tree keeps alive while it is written), each feature's tags, the names checked.
-    elements: dict[int, str] = {}
+    return b"".join(serialize_chunks(root, profile))
+
+
+def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> Iterator[bytes]:
+    """`serialize_entry`'s document as UTF-8 chunks of about `_CHUNK_LINES` lines. Every
+    property is built and checked before this returns, so a tree it cannot write raises
+    SerializeError before any chunk exists."""
+    # Built once per call: each property's element by id (nodes share inherited Property objects,
+    # which the tree keeps alive while it is written), each feature's tags, each attribute tuple's
+    # string, the attribute names checked. A brack that holds properties spans lines, so pass 2
+    # writes it; its element is b"".
+    elements: dict[int, bytes] = {}
     tags: dict[FeatureName, tuple[str, str]] = {}
+    attr_strings: dict[tuple[tuple[str, str], ...], str] = {}
     names: set[str] = set()
 
-    def atomic(prop: Property) -> str:
-        feature, text = prop.feature, normalize("NFC", prop.value.text)
+    def attributes(prop: Property) -> str:
+        text = attr_strings.get(prop.attrs)
+        if text is None:
+            for name, value in prop.attrs:
+                if not (_carried(value) and (name in names or _carried(name) and _is_name(name))):
+                    raise SerializeError(
+                        f"attribute {name!r} on feature {str(prop.feature)!r} cannot be written as XML")
+                names.add(name)
+            text = attr_strings[prop.attrs] = "".join(f' {name}="{_escape_attr(v)}"' for name, v in prop.attrs)
+        return text
+
+    def element(prop: Property, nested: bool = False) -> None:  # nested: held in a brack
+        feature, value = prop.feature, prop.value
+        if isinstance(value, Composite):
+            if nested:
+                raise SerializeError("brack holds feature elements one level deep, nothing deeper")
+            if feature != "brack":
+                raise SerializeError(f"composite value on feature {str(feature)!r}; only 'brack' holds bundles")
+            attrs = attributes(prop)
+            for each in value.properties:
+                element(each, True)
+            elements[id(prop)] = b"" if value.properties else f"<brack{attrs}/>".encode()
+            return
         tag = tags.get(feature)
-        if tag is None:
+        if tag is None:  # 'brack' is never a base element
+            if feature == "brack" and not nested:
+                raise SerializeError("'brack' must hold a bundle of properties, not plain text")
             if feature not in profile.base_elements:
                 raise UnknownFeature(feature)
             tag = tags[feature] = f"<{feature}", f"</{feature}>"
+        text = normalize("NFC", value.text)
         # printable text has no XML whitespace but the space: it reads back unless a space leads, trails or doubles
         if not text.isprintable() or "  " in f" {text} ":
             if not _carried(text):
                 raise SerializeError(f"value of feature {str(feature)!r} holds a character XML cannot carry")
             if _collapse(text) != text:
                 raise SerializeError(f"value of feature {str(feature)!r} has XML whitespace that would not read back")
-        head = tag[0] + _attr_string(prop, names) if prop.attrs else tag[0]
+        head = tag[0] + attributes(prop) if prop.attrs else tag[0]
         # _escape_text less "\r", which never reads back
         escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        element = elements[id(prop)] = f"{head}>{escaped}{tag[1]}" if text else f"{head}/>"
-        return element
+        elements[id(prop)] = (f"{head}>{escaped}{tag[1]}" if text else f"{head}/>").encode()
 
-    def emit(prop: Property, indent: str) -> None:
-        if isinstance(prop.value, Composite):
-            if prop.feature != "brack":
-                raise SerializeError(f"composite value on feature {str(prop.feature)!r}; only 'brack' holds bundles")
-            head = f"{indent}<brack{_attr_string(prop, names)}"
-            if not prop.value.properties:
-                lines.append(f"{head}/>")
-                return
-            lines.append(f"{head}>")
-            for inner in prop.value.properties:
-                if isinstance(inner.value, Composite):
-                    raise SerializeError("brack holds feature elements one level deep, nothing deeper")
-                lines.append(indent + "  " + (elements.get(id(inner)) or atomic(inner)))
-            lines.append(f"{indent}</brack>")
-        elif prop.feature == "brack":
-            raise SerializeError("'brack' must hold a bundle of properties, not plain text")
-        else:
-            lines.append(indent + (elements.get(id(prop)) or atomic(prop)))
-
-    # pending work, last first: a (node, indent) to open or a closing tag to write
-    stack: list[tuple[Node, str] | str] = [(root, "  ")]
+    stack = [root]  # pass 1, in document order, so the first refusal is the first in the output
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            lines.append(item)
-            continue
-        node, indent = item
-        if not (node.properties or node.alt_groups or node.children):
-            lines.append(f"{indent}<struc/>")
-            continue
-        lines.append(f"{indent}<struc>")
-        inner = indent + "  "
-        for prop in node.properties:  # a shared property's element is read here, with no call
-            element = elements.get(id(prop))
-            if element is None:
-                emit(prop, inner)
-            else:
-                lines.append(inner + element)
+        node = stack.pop()
+        for prop in node.properties:
+            if id(prop) not in elements:
+                element(prop)
         for group in node.alt_groups:
             for alternative in group.alternatives:
-                lines.append(f"{inner}<alt>")
                 for prop in alternative:
-                    emit(prop, inner + "  ")
-                lines.append(f"{inner}</alt>")
-        if node.children:
-            stack.append(f"{indent}</struc>")
-            for child in reversed(node.children):
-                stack.append((child, inner))
-        else:
-            lines.append(f"{indent}</struc>")
-    lines.append("</dict>\n")
-    return "\n".join(lines).encode("utf-8")
+                    if id(prop) not in elements:
+                        element(prop)
+        stack += reversed(node.children)
+    get = elements.get
+
+    def brack(prop: Property, level: int) -> bytes:
+        indent = _INDENTS[level + 1]
+        inner = indent.join([get(id(p)) for p in prop.value.properties])
+        return b"".join((f"<brack{attr_strings[prop.attrs]}>".encode(), indent, inner, _INDENTS[level], b"</brack>"))
+
+    def chunks() -> Iterator[bytes]:  # pass 2: each line is one of _INDENTS, then its element
+        pieces = [b'<?xml version="1.0" encoding="utf-8"?>\n<dict>']
+        lines = 0
+        # pending work, last first: a (node, level) to open or a closing tag to write
+        stack: list[tuple[Node, int] | bytes] = [(root, 1)]
+        while stack:
+            if lines >= _CHUNK_LINES:
+                yield b"".join(pieces)
+                pieces, lines = [], 0
+            item = stack.pop()
+            if type(item) is bytes:
+                pieces.append(item)
+                continue
+            node, level = item
+            props, groups, children = node.properties, node.alt_groups, node.children
+            lines += 2 + len(props)
+            if not (props or groups or children):
+                pieces.append(_EMPTY[level])
+                continue
+            pieces.append(_OPEN[level])
+            if props:  # a shared property's element is read here, with no call
+                indent = _INDENTS[level + 1]
+                pieces += indent, indent.join([get(id(p)) or brack(p, level + 1) for p in props])
+            for group in groups:
+                indent = _INDENTS[level + 2]
+                for alternative in group.alternatives:
+                    inner = indent.join([get(id(p)) or brack(p, level + 2) for p in alternative])
+                    pieces += _ALT[level + 1], indent, inner, _END_ALT[level + 1]
+                    lines += 2 + len(alternative)
+            if children:
+                stack.append(_CLOSE[level])
+                below = min(level + 1, _MAX_INDENT)
+                for child in reversed(children):
+                    stack.append((child, below))
+            else:
+                pieces.append(_CLOSE[level])
+        pieces.append(b"\n</dict>\n")
+        yield b"".join(pieces)
+
+    return chunks()

@@ -27,7 +27,7 @@ from lexitree.model import (
 from lexitree.rules import default_registry, default_rules_text
 from lexitree.transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance
 from lexitree.rules import parse_rules
-from lexitree.xmlio import parse_entry, serialize_entry
+from lexitree.xmlio import parse_entry, serialize_chunks, serialize_entry
 
 
 def run(capsys, *argv):
@@ -495,6 +495,18 @@ def test_expansion_above_the_bound_is_refused(capsys, tmp_path, command):
     assert err.startswith("lexitree: the expansion would have at least ")
 
 
+@pytest.mark.parametrize("command", ["expand", "materialize"])
+def test_a_refusal_after_a_chunk_of_valid_output_leaves_stdout_empty(capsys, tmp_path, command):
+    valid = "".join(f"<struc><def>d{i}</def></struc>" for i in range(1000))
+    assert len(list(serialize_chunks(parse_entry(f"<struc>{valid}</struc>")[0]))) > 1
+    doc = tmp_path / "foo_last.xml"
+    doc.write_text(f"<struc><orth>x</orth>{valid}<struc><foo>y</foo></struc></struc>", encoding="utf-8")
+    code, out, err = run(capsys, command, doc)
+    assert (code, out) == (1, "")
+    assert "unknown element <foo> kept as a feature" in err
+    assert err.endswith("lexitree: feature 'foo' has no base element in the profile\n")
+
+
 def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
     # Deeper than the interpreter's recursion limit. Odd levels set gen under
     # pos=noun; even levels turn pos to verb, which blocks the inherited gen.
@@ -519,13 +531,16 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
         (leaf,) = leaf.children
     assert [str(p.feature) for p in leaf.properties] == ["orth", "def", "pos", "gen", "ex"]
     assert extract_table(tree, TableSpec(["orth", "pos", "gen"]), registry) == [("deep", "noun", "m")]
+
+    def pad(level):  # lines are indented by their depth, up to 64 levels
+        return "  " * min(level, 64)
+
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<dict>", "  <struc>", "    <orth>deep</orth>", "    <def>d</def>"]
     for i in range(depth):
-        pad = "  " * (i + 2)
-        lines.append(f"{pad}<struc>")
-        lines += [f"{pad}  <pos>noun</pos>", f"{pad}  <gen>m</gen>"] if i % 2 else [f"{pad}  <pos>verb</pos>"]
-        lines.append(f"{pad}  <ex>e{i}</ex>")
-    lines += [f"{'  ' * level}</struc>" for level in range(depth + 1, 0, -1)] + ["</dict>"]
+        lines.append(f"{pad(i + 2)}<struc>")
+        inner = ["<pos>noun</pos>", "<gen>m</gen>"] if i % 2 else ["<pos>verb</pos>"]
+        lines += [f"{pad(i + 3)}{element}" for element in [*inner, f"<ex>e{i}</ex>"]]
+    lines += [f"{pad(level)}</struc>" for level in range(depth + 1, 0, -1)] + ["</dict>"]
     canonical = "\n".join(lines) + "\n"
     assert serialize_entry(tree) == canonical.encode()
     assert expand_alternatives(tree) == tree
@@ -540,9 +555,10 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
     assert code == 0
     assert out.encode() == serialize_entry(materialize_inheritance(tree, registry))
     assert parse_entry(out.encode())[0] == materialize_inheritance(tree, registry)
-    pad = "  " * (depth + 2)
+    deepest = pad(depth + 2)
     assert out.splitlines()[-depth - 7 : -depth - 2] == [  # the deepest node, before its closing tags
-        f"{pad}<orth>deep</orth>", f"{pad}<def>d</def>", f"{pad}<pos>noun</pos>", f"{pad}<gen>m</gen>", f"{pad}<ex>e1199</ex>"
+        f"{deepest}<orth>deep</orth>", f"{deepest}<def>d</def>", f"{deepest}<pos>noun</pos>", f"{deepest}<gen>m</gen>",
+        f"{deepest}<ex>e1199</ex>",
     ]
 
 

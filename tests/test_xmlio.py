@@ -1,4 +1,6 @@
 import gc
+import os
+import tracemalloc
 import unicodedata
 from xml.parsers import expat
 
@@ -22,6 +24,7 @@ from lexitree.xmlio import (
     UnknownFeature,
     XmlMalformed,
     parse_entry,
+    serialize_chunks,
     serialize_entry,
 )
 
@@ -490,6 +493,77 @@ def test_escaping_survives_round_trip():
         tree = Node([prop])
         again, _ = parse_entry(serialize_entry(tree))
         assert again == tree
+
+
+def _chain(levels, features=("ex",)):
+    """A chain whose node i holds one property per feature, valued feature + i."""
+    node = None
+    for i in reversed(range(levels)):
+        node = Node([P(f, f"{f}{i}") for f in features], children=[node] if node else [])
+    return node
+
+
+def _uncapped(levels):
+    """`_chain(levels)` written with each line indented by its full depth."""
+    lines = ['<?xml version="1.0" encoding="utf-8"?>', "<dict>"]
+    for i in range(levels):
+        lines += [f"{'  ' * (i + 1)}<struc>", f"{'  ' * (i + 2)}<ex>ex{i}</ex>"]
+    lines += [f"{'  ' * (i + 1)}</struc>" for i in reversed(range(levels))] + ["</dict>", ""]
+    return "\n".join(lines).encode()
+
+
+def test_lines_up_to_64_levels_deep_keep_their_indentation():
+    assert serialize_entry(_chain(63)) == _uncapped(63)  # its deepest line sits 64 levels deep
+    deepest = b"\n" + b"  " * 65 + b"<ex>ex63</ex>"
+    assert serialize_entry(_chain(64)) == _uncapped(64).replace(deepest, deepest.replace(b"  ", b"", 1))
+
+
+def test_a_deep_chain_writes_linear_bytes():
+    tree = _chain(2000)
+    document = serialize_entry(tree)
+    assert len(document) < 2_000_000  # 12 MB with each line indented by its full depth
+    assert parse_entry(document) == (tree, [])
+    # every kind of line, past the cap: alternatives, a brack in one, and its properties
+    pair = AltGroup([[P("brack", [P("ex", "a"), P("xr", "b")])], [P("pos", "v")]])
+    tree = Node([P("orth", "x"), P("brack", [P("ex", "c")])], [pair])
+    for _ in range(70):
+        tree = Node([P("ex", "y")], children=[tree])
+    document = serialize_entry(tree)
+    assert max(len(line) - len(line.lstrip()) for line in document.split(b"\n")) == 128
+    assert parse_entry(document) == (tree, [])
+
+
+def test_chunks_join_to_the_document():
+    alt = AltGroup([[P("pos", "n"), P("brack", [P("ex", "a"), P("xr", "b", type="see")])], [P("pos", "v")]])
+    tree = Node([P("orth", "x")], children=[
+        Node([P("def", f"d{i}"), P("brack", [P("ex", f"e{i}")], n="1"), P("brack", [])], [alt], [Node()])
+        for i in range(300)
+    ])
+    chunks = list(serialize_chunks(tree))
+    document = serialize_entry(tree)
+    assert len(chunks) > 2 and b"".join(chunks) == document
+    assert parse_entry(document) == (tree, [])
+
+
+def test_a_refusal_in_the_last_node_comes_before_any_chunk():
+    valid = [Node([P("def", f"d{i}")]) for i in range(1000)]
+    assert len(list(serialize_chunks(Node([P("orth", "x")], children=valid)))) > 1
+    with pytest.raises(UnknownFeature):  # at the call, before any chunk is asked for
+        serialize_chunks(Node([P("orth", "x")], children=[*valid, Node([Property("foo", "y")])]))
+
+
+def test_writing_a_materialized_chain_holds_a_fraction_of_it(registry):
+    # counts allocations, not time: the writer holds one chunk of the document at a time
+    tree = materialize_inheritance(_chain(200, ("def", "ex")), registry)  # def is cumulative
+    size = len(serialize_entry(tree))
+    with open(os.devnull, "wb") as sink:
+        tracemalloc.start()
+        try:
+            sink.writelines(serialize_chunks(tree))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < size / 4
 
 
 # ---------------------------------------------------------------------------
