@@ -19,6 +19,9 @@ The XML rows time `serialize_entry` of the tree and `parse_entry` of the
 bytes it wrote, so the parser's cost per element has a number of its own;
 the parse row prints the document's size. The canonical form indents each
 line by its depth up to 64 levels, so a chain's document grows linearly.
+The parser keeps a value that arrives canonical as it is, so a second parse
+row reads the same document with runs of XML whitespace around every value,
+which the parser must collapse.
 
 The memory row runs `lexitree materialize` on a chain of up to 1,000 levels
 in a process of its own, through `bench/cli_probe.py`, and prints the size
@@ -50,6 +53,7 @@ Usage: PYTHONPATH=src python scripts/scaling.py [--levels N]
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -144,6 +148,8 @@ def operations(tree, twin, registry, with_materialize, with_effective):
     document = serialize_entry(tree)
     ops["serialize_entry"] = lambda: serialize_entry(tree)
     ops[f"parse_entry ({len(document) / 1e6:.1f} MB)"] = lambda: parse_entry(document)
+    spaced = re.sub(rb"<(def|ex)>([^<]*)<", rb"<\1>\n  \2 \t<", document)
+    ops["parse_entry, collapsing"] = lambda: parse_entry(spaced)
     return ops
 
 

@@ -9,10 +9,11 @@ its text is the value and its XML attributes are carried verbatim.
 
 Parsing is one pass of expat callbacks, with text buffered so that each run
 arrives as one chunk. Each structural element gets a frame; a feature element
-gets none. Expat appends a feature element's text to a list and keeps each
-distinct chunk of text directly in a structural element once, with no Python
-call; stray text restarts the parse, unbuffered, with a handler that warns of
-it in place. Values and nodes are built through their slots. Which element may
+gets none. Expat appends a feature element's text to the parse's one text list
+and keeps each distinct chunk of text directly in a structural element once,
+with no Python call; stray text restarts the parse, unbuffered, with a handler
+that warns of it in place. A value that arrives canonical is kept as it is.
+Values and nodes are built through their slots. Which element may
 open inside which is one table, `_CONTENT`, that also holds the refusal for
 the rest. Parsing is lenient by default: unknown elements become atomic
 properties and misplaced ones are skipped, each with a warning, so real
@@ -250,10 +251,12 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
     diagnostics: list[ParseDiagnostic] = []
     stack = [_Frame(None)]  # the document, then every open structural element
     skip_depth = 0  # elements open in a skipped subtree
-    # The open feature element, if `chunks` is a list: the feature it sets, its
-    # attributes, its text chunks, and the count of markup open inside it.
-    feature = carried = chunks = None
+    # The open feature element, if `feature` is set: the feature it sets, its attributes,
+    # and the count of markup open inside it. Its text goes to `chunks`, one list per parse.
+    feature = carried = None
     flatten = 0
+    chunks: list[str] = []
+    append = chunks.append
     between: dict[str, None] = {}  # each distinct chunk once, in order of arrival
     clean = 0  # len(between) when it last held XML whitespace only
 
@@ -278,11 +281,11 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             frame.groups.append(AltGroup(run))
 
     def start(tag: str, attrs: list[str]) -> None:
-        nonlocal skip_depth, flatten, feature, carried, chunks
+        nonlocal skip_depth, flatten, feature, carried
         if skip_depth:
             skip_depth += 1
             return
-        if chunks is not None:
+        if feature is not None:
             flatten += 1
             warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
             return
@@ -311,8 +314,8 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
                 parser.CharacterDataHandler = None
                 return
         if not kind:  # its text goes straight to the chunk list, with no Python call
-            feature, carried, chunks = name, tuple(zip(attrs[::2], attrs[1::2])) if attrs else (), []
-            parser.CharacterDataHandler = chunks.append
+            feature, carried = name, tuple(zip(attrs[::2], attrs[1::2])) if attrs else ()
+            parser.CharacterDataHandler = append
         elif kind == "brack":
             stack.append(_Frame(kind, tuple(zip(attrs[::2], attrs[1::2]))))
         else:
@@ -321,23 +324,27 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             stack.append(_Frame(kind))
 
     def end(tag: str) -> None:
-        nonlocal skip_depth, flatten, chunks
+        nonlocal skip_depth, flatten, feature
         if skip_depth:
             skip_depth -= 1
             parser.CharacterDataHandler = None if skip_depth else structural
             return
-        if chunks is not None:
+        if feature is not None:
             if flatten:
                 flatten -= 1
                 return
             text = chunks[0] if len(chunks) == 1 else "".join(chunks)
+            chunks.clear()
+            # canonical text (printable, spaces single and inside) is kept as it arrived
+            if not text.isprintable() or "  " in f" {text} ":
+                text = " ".join(text.split()) if text.isascii() else _collapse(text)
             value, prop = _new(Atomic), _new(Property)
-            _set_text(value, " ".join(text.split()) if text.isascii() or text.isprintable() else _collapse(text))
+            _set_text(value, text)
             _set_feature(prop, feature)
             _set_value(prop, value)
             _set_attrs(prop, carried)
             stack[-1].props.append(prop)
-            chunks = None
+            feature = None
             parser.CharacterDataHandler = structural
             return
         if len(between) != clean:  # the document element's end checks the last chunks

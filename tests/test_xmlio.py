@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import tracemalloc
 import unicodedata
 from xml.parsers import expat
@@ -8,6 +9,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
+import parsegen
 from conftest import FIXTURES, P, fixture_bytes
 from treegen import XML_PROFILE, xml_trees
 
@@ -334,6 +336,21 @@ def test_every_space_outside_xml_whitespace_is_unprintable():
     assert spaces and not any(c.isprintable() for c in spaces)
 
 
+def _value_reference(chardata: str) -> str:
+    return re.sub("[ \t\n\r]+", " ", chardata).strip(" ")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.sampled_from(parsegen.VALUE_PIECES), max_size=6), min_size=1, max_size=3))
+def test_value_text_is_its_character_data_trimmed_and_collapsed(values):
+    # each value of the entry, read by either pass, against a reference that shares no code with the parser
+    document = "<struc>" + "".join(f"<def>{''.join(m for m, _ in pieces)}</def>" for pieces in values) + "</struc>"
+    expected = [_value_reference("".join(c for _, c in pieces)) for pieces in values]
+    for parse in (parse_entry, exact_parse):
+        tree, diagnostics = parse(document.encode("utf-8"))
+        assert ([p.value.text for p in tree.properties], diagnostics) == (expected, [])
+
+
 def test_a_parse_leaves_no_reference_cycle():
     # the tree and the parse's state go when the last reference does, not at a later collection
     gc.collect()
@@ -585,36 +602,10 @@ def test_serialization_is_byte_idempotent(tree):
     assert serialize_entry(again, XML_PROFILE) == once
 
 
-_SOUP_TAGS = ("dict", "struc", "alt", "brack", "orth", "gender", "sensenum", "Odd_Name", "x.y")
-
-
 @st.composite
 def tag_soup(draw):
-    """Random nesting of structural, base, unknown and unusable element
-    names, with attributes and text; mostly well-formed, sometimes with a
-    mismatched end tag or truncated."""
-    root = draw(st.sampled_from(("struc", "dict", None)))
-    out, open_tags = ([f"<{root}>"], [root]) if root else ([], [])
-    for _ in range(draw(st.integers(0, 24))):
-        action = draw(st.sampled_from(("open", "open", "empty", "close", "text")))
-        if action in ("open", "empty"):
-            tag = draw(st.sampled_from(_SOUP_TAGS))
-            attrs = draw(st.sampled_from(("", ' n="1"', ' a="x" b="&lt;"')))
-            out.append(f"<{tag}{attrs}/>" if action == "empty" else f"<{tag}{attrs}>")
-            if action == "open":
-                open_tags.append(tag)
-        elif action == "close":
-            mismatch = not open_tags or draw(st.sampled_from([False] * 9 + [True]))
-            out.append(f"</{draw(st.sampled_from(_SOUP_TAGS)) if mismatch else open_tags.pop()}>")
-        else:
-            out.append(draw(st.sampled_from(
-                ("x", " ", "a  b", "\n  ", "&amp;", "\u00e9", "<![CDATA[<b> ]]>", "<!-- c -->", "&#233;", "\t")
-            )))
-    out.extend(f"</{tag}>" for tag in reversed(open_tags))
-    document = "".join(out).encode("utf-8")
-    if draw(st.sampled_from((False, False, False, True))):
-        document = document[: draw(st.integers(0, len(document)))]
-    return document
+    return parsegen.tag_soup(lambda options: draw(st.sampled_from(options)),
+                             lambda low, high: draw(st.integers(low, high)))
 
 
 @settings(max_examples=300)
