@@ -5,13 +5,16 @@ checkout and with an earlier commit, and compare the results.
 The earlier commit REV is checked out with `git worktree add` into a
 temporary directory, which is removed on exit.
 
-Command runs: each case runs as `python -m lexitree COMMAND FILE ...` from
-this checkout's root, once with PYTHONPATH set to this checkout's `src` and
-once with REV's, so both sides read the same input files and print the same
-paths. The cases are every `scripts/compat.py` argument set on every test
-fixture and on seeded documents from `bench/generate.py`: `corpus` entries
-and one `big_entry`, each raw and expanded. Stdout, stderr and the exit code
-must match byte for byte.
+Command runs: every `COMMANDS` argument set on every test fixture and on
+seeded documents from `bench/generate.py` (`corpus` entries and one
+`big_entry`, each raw and expanded), and `validate` and `expand` on each
+fixture with stray text early and late. Each case's reference is REV's
+`python -m lexitree COMMAND FILE ...` under the running interpreter. It is
+compared with this checkout's `lexitree.cli.main()` called in this process,
+and with this checkout's `INTERPRETER -m lexitree COMMAND FILE ...` under
+each INTERPRETER given (the running one by default). All run from this
+checkout's root, so they read the same files and print the same paths.
+Stdout, stderr and the exit code must match byte for byte.
 
 Parses: each side runs `parse_entry` on every document of a sweep, in one
 process of its own with its own `src`, and reports the tree's `repr` with
@@ -24,13 +27,15 @@ again with its exact pass; and a feature value of each one and each two of
 `tests/parsegen.py`'s value pieces, which reach both sides of the parser's
 check for text that is already canonical.
 
-The script lists each case that differs, prints a summary line, and exits 1
-if any case differed. It needs only the standard library and git.
+The script lists each case that differs, with the run that differed, prints
+a summary line, and exits 1 if any case differed. It needs only the standard
+library and git.
 
-Usage: python scripts/differential.py --base REV
+Usage: python scripts/differential.py --base REV [INTERPRETER ...]
 """
 
 import argparse
+import io
 import os
 import pickle
 import random
@@ -42,12 +47,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
-sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import generate  # noqa: E402
 import parsegen  # noqa: E402
-from compat import COMMANDS, cases, in_subprocess  # noqa: E402
+from lexitree import cli  # noqa: E402
 
+# Arguments after the file, per command run.
+COMMANDS = [
+    ["validate"],
+    ["validate", "--rules", "tests/fixtures/dep_n.rules"],
+    ["effective"],
+    ["effective", "--path", "0"],
+    ["effective", "--path", "0.0"],
+    ["effective", "--rules", "tests/fixtures/dep_n.rules", "--path", "0"],
+    ["traversals"],
+    ["traversals", "--partial"],
+    ["expand"],
+    ["materialize"],
+    ["table", "--cols", "orth,pos,def"],
+    ["table", "--cols", "orth,pos", "--format", "html"],
+]
 CORPUS_SEED, CORPUS_ENTRIES = 5, 10
 BIG_SEED, BIG_DEPTH = 7, 6
 SOUP_SEED, SOUP_DOCUMENTS = 17, 10_000
@@ -116,6 +136,27 @@ def parse_reports(src: Path, sweep: list) -> list:
     return pickle.loads(done.stdout)
 
 
+def in_process(argv: list) -> tuple:
+    """(stdout, stderr, exit code) of this checkout's `main(argv)`, streams as a process has them."""
+    saved = sys.stdout, sys.stderr
+    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    sys.stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    try:
+        code = cli.main(argv)
+        streams = []
+        for stream in (sys.stdout, sys.stderr):
+            stream.flush()
+            streams.append(stream.buffer.getvalue())
+    finally:
+        sys.stdout, sys.stderr = saved
+    return streams[0], streams[1], code
+
+
+def in_subprocess(interpreter: str, argv: list, env: dict) -> tuple:
+    done = subprocess.run([interpreter, "-m", "lexitree", *argv], env=env, capture_output=True)
+    return done.stdout, done.stderr, done.returncode
+
+
 def difference(a, b) -> str:
     """Where two outputs part, with what each has from there on."""
     if isinstance(a, int):
@@ -127,8 +168,14 @@ def difference(a, b) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, metavar="REV", help="the commit to compare with")
+    parser.add_argument("interpreters", nargs="*", default=[sys.executable], metavar="INTERPRETER",
+                        help="an interpreter to run this checkout under (default: the running one)")
     args = parser.parse_args()
     os.environ.pop("LEXITREE_RULES", None)
+    os.chdir(ROOT)  # in-process runs then read the relative fixture paths that the processes print
+    versions = {interpreter: subprocess.run([interpreter, "-c", "import sys; print(sys.version.split()[0])"],
+                                            capture_output=True, text=True, check=True).stdout.strip()
+                for interpreter in args.interpreters}
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         if subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(base), args.base]
@@ -137,20 +184,31 @@ def main() -> int:
         try:
             inputs = Path(tmp) / "inputs"
             inputs.mkdir()
-            generated = generated_documents(inputs)
-            argvs = list(cases()) + [[command, str(path), *rest] for path in generated for command, *rest in COMMANDS]
+            fixtures, generated = sorted(FIXTURES.glob("*.xml")), generated_documents(inputs)
+            argvs = [[command, str(path), *rest] for path in [f.relative_to(ROOT) for f in fixtures] + generated
+                     for command, *rest in COMMANDS]
+            for fixture in fixtures:
+                for label, variant in with_stray_text(fixture.read_bytes())[1:]:
+                    path = inputs / f"{fixture.stem}.{label[2:].replace(' ', '-')}.xml"
+                    path.write_bytes(variant)
+                    argvs += [["validate", str(path)], ["expand", str(path)]]
             base_env, env = (dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
                              for src in (base / "src", ROOT / "src"))
             differed = 0
             for argv in argvs:
-                want, got = in_subprocess(sys.executable, argv, base_env), in_subprocess(sys.executable, argv, env)
-                if got != want:
+                want = in_subprocess(sys.executable, argv, base_env)
+                runs = [("run in process", in_process(argv))]
+                runs += [(f"run under {interpreter} ({version})", in_subprocess(interpreter, argv, env))
+                         for interpreter, version in versions.items()]
+                bad = [(run, got) for run, got in runs if got != want]
+                if bad:
                     differed += 1
                     print(f"differs on: lexitree {' '.join(argv)}")
+                for run, got in bad:
                     for name, a, b in zip(("stdout", "stderr", "exit code"), want, got):
                         if a != b:
-                            print(f"  {name} of {args.base} against this checkout's, {difference(a, b)}")
-            sweep = parse_sweep(sorted(FIXTURES.glob("*.xml")) + generated)
+                            print(f"  {name} of {args.base} against this checkout's {run}, {difference(a, b)}")
+            sweep = parse_sweep(fixtures + generated)
             parses_differed = 0
             for (label, _, _), want, got in zip(sweep, parse_reports(base / "src", sweep),
                                                 parse_reports(ROOT / "src", sweep)):

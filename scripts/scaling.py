@@ -41,7 +41,7 @@ its deepest node, which `extract_table`, `materialize_inheritance` and
 that comes before any fold costs about as much per node as a bare walk.
 
 The quadratic rows time `check_consistency` on three shapes that the walk
-does not yet handle in linear time (ROADMAP item 4). A comb is a chain with
+does not yet handle in linear time (ROADMAP item 5). A comb is a chain with
 a leaf beside the continuing child at every level, first or last: the walk
 copies the parent's whole state for every child but the last. On a chain
 whose `pos` alternates between verb and noun, each overwrite to verb makes
@@ -226,7 +226,7 @@ def report_refusals(levels, registry):
 
 
 def report_quadratic(levels, registry):
-    print(f"known quadratic costs (ROADMAP item 4): check_consistency, {levels:,} levels")
+    print(f"known quadratic costs (ROADMAP item 5): check_consistency, {levels:,} levels")
     for name, tree in {
         "comb, leaf first": comb(levels, leaf_first=True),
         "comb, leaf last": comb(levels, leaf_first=False),

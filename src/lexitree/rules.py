@@ -35,7 +35,7 @@ def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
         line = raw.strip(" \t")  # the XML whitespace a line can hold
         if not line or line.startswith("#"):
             continue
-        fields = re.split("[ \t]+", line)
+        fields = re.split("[ \t]+", line, maxsplit=3)  # a dep value is the rest of the line
         directive = fields[0]
         try:  # every refusal of a line, a bad feature name included, is reported at that line
             if directive == "class":
@@ -49,10 +49,9 @@ def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
                     raise ValueError(f"feature {name!r} already classified")
                 classes[feature] = FeatureClass(word)
             elif directive == "dep":
-                parts = re.split("[ \t]+", line, maxsplit=3)
-                if len(parts) != 4:
+                if len(fields) != 4:
                     raise ValueError("expected: dep <dependent> <governor> <value>")
-                _, dependent, governor, value = parts
+                _, dependent, governor, value = fields
                 rule = DependencyRule(dependent, governor, value)
                 if classes.get(rule.governor) is not FeatureClass.OVERWRITING:
                     raise ValueError(f"governor {governor!r} must be declared 'over' earlier in the file")

@@ -337,7 +337,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             chunks.clear()
             # canonical text (printable, spaces single and inside) is kept as it arrived
             if not text.isprintable() or "  " in f" {text} ":
-                text = " ".join(text.split()) if text.isascii() else _collapse(text)
+                text = _collapse(text)
             value, prop = _new(Atomic), _new(Property)
             _set_text(value, text)
             _set_feature(prop, feature)

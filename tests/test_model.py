@@ -61,6 +61,11 @@ def test_property_rejects_unusable_attr_names():
         Property("xr", "x", (("", "a"),))
 
 
+def test_effective_set_needs_a_depth_per_entry():
+    with pytest.raises(ValueError):
+        EffectiveFeatureSet([P("pos", "n")], [])
+
+
 def test_alt_group_needs_two_nonempty_alternatives():
     with pytest.raises(ValueError):
         AltGroup([[P("pos", "n")]])
@@ -485,6 +490,7 @@ def test_effective_set_matches_oracle(tree_and_registry):
         eff = effective_set(tree, path, registry)
         expected = oracle_effective_set(tree, path, registry)
         assert list(eff.items()) == expected
+        assert list(eff) == [p for p, _ in expected]
         # built without the checking constructor, the set equals and prints as a checked one
         built = EffectiveFeatureSet([p for p, _ in expected], [d for _, d in expected])
         assert (eff, repr(eff), hash(eff)) == (built, repr(built), hash(built))

@@ -34,6 +34,8 @@ def test_dep_value_may_contain_spaces():
     [
         ("klass pos over", "unknown directive"),
         ("class pos", "expected: class"),
+        ("class pos over extra", "expected: class"),
+        ("class pos over a b", "expected: class"),
         ("class pos overwriting", "unknown class"),
         ("class pos over\nclass pos cum", "already classified"),
         ("dep gen pos n", "earlier in the file"),

@@ -372,6 +372,8 @@ def test_profile_rejects_structural_names_and_empty():
         EncodingProfile(["orth", "struc"])
     with pytest.raises(ValueError):
         EncodingProfile([])
+    with pytest.raises(ValueError):
+        EncodingProfile(["2nd"])
 
 
 # ---------------------------------------------------------------------------
