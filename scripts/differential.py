@@ -3,39 +3,41 @@
 checkout and with an earlier commit, and compare the results.
 
 The earlier commit REV is checked out with `git worktree add` into a
-temporary directory, which is removed on exit.
+temporary directory, removed on exit. Each checkout answers every case in
+one worker process with its own `src`, run from this checkout's root so that
+both read and print the same paths; REV's gives the reference.
 
-Command runs: every `COMMANDS` argument set on every test fixture and on
+Command cases: every `COMMANDS` argument set on every test fixture and on
 seeded documents from `bench/generate.py` (`corpus` entries and one
 `big_entry`, each raw and expanded), and `validate` and `expand` on each
-fixture with stray text early and late. Each case's reference is REV's
-`python -m lexitree COMMAND FILE ...` under the running interpreter. It is
-compared with this checkout's `lexitree.cli.main()` called in this process,
-and with this checkout's `INTERPRETER -m lexitree COMMAND FILE ...` under
-each INTERPRETER given (the running one by default). All run from this
-checkout's root, so they read the same files and print the same paths.
-Stdout, stderr and the exit code must match byte for byte.
+fixture with stray text early and late. A worker calls `lexitree.cli.main()`
+with stdout and stderr in UTF-8 byte buffers, as a process has them. REV's
+`main()` is compared with this checkout's, and with this checkout's
+`INTERPRETER -m lexitree COMMAND FILE ...` under each INTERPRETER given (the
+running one by default): the only runs with a process per case. Stdout,
+stderr and the exit code must match byte for byte. A difference between
+REV's process and REV's own `main()` does not show here; REV's own run of
+this script, when REV was HEAD, checked that.
 
-Parses: each side runs `parse_entry` on every document of a sweep, in one
-process of its own with its own `src`, and reports the tree's `repr` with
-the diagnostics (line, column and message), or the error's class and
-diagnostic; the two reports must be equal. The sweep holds seeded random tag
-soup from `tests/parsegen.py`, under the lenient and the strict profile;
-every fixture and generated document, as it is and with stray text after its
-first `<struc>` and before its last `</struc>`, which makes the parser start
-again with its exact pass; and a feature value of each one and each two of
-`tests/parsegen.py`'s value pieces, which reach both sides of the parser's
-check for text that is already canonical.
+Parses: each worker runs `parse_entry` on every document of a sweep and
+reports the tree's `repr` with the diagnostics (line, column and message),
+or the error's class and diagnostic; the reports must be equal. The sweep
+holds seeded tag soup from `tests/parsegen.py`, under the lenient and the
+strict profile; every fixture and generated document, as it is and with
+stray text after its first `<struc>` and before its last `</struc>`, which
+makes the parser start again with its exact pass; and a feature value of
+each one and each two of `tests/parsegen.py`'s value pieces, which reach
+both sides of the parser's check for text that is already canonical.
 
 The script lists each case that differs, with the run that differed, prints
-a summary line, and exits 1 if any case differed. It needs only the standard
-library and git.
+a summary line, and exits 1 if any case differed. A worker that fails, as
+when `main()` raises, ends it with the worker's traceback. It needs only the
+standard library and git, and takes about a minute on two cores.
 
 Usage: python scripts/differential.py --base REV [INTERPRETER ...]
 """
 
 import argparse
-import io
 import os
 import pickle
 import random
@@ -47,11 +49,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 import generate  # noqa: E402
 import parsegen  # noqa: E402
-from lexitree import cli  # noqa: E402
 
 # Arguments after the file, per command run.
 COMMANDS = [
@@ -72,18 +73,31 @@ CORPUS_SEED, CORPUS_ENTRIES = 5, 10
 BIG_SEED, BIG_DEPTH = 7, 6
 SOUP_SEED, SOUP_DOCUMENTS = 17, 10_000
 
-# What each side runs, with its own `src`: (document, strict) pairs in, one report per document out, both pickled.
-PARSE_WORKER = """
-import pickle, sys
+# Each checkout's worker: (document, strict) pairs and argvs in, a report per parse and per argv out, pickled.
+WORKER = """
+import io, pickle, sys
+from lexitree.cli import main
 from lexitree.xmlio import DEFAULT_PROFILE, EncodingProfile, parse_entry
 profiles = (DEFAULT_PROFILE, EncodingProfile(DEFAULT_PROFILE.base_elements, strict=True))
-reports = []
-for document, strict in pickle.load(sys.stdin.buffer):
+documents, argvs = pickle.load(sys.stdin.buffer)
+reports, runs, streams = [], [], (sys.stdout, sys.stderr)
+for document, strict in documents:
     try:
         reports.append(repr(parse_entry(document, profiles[strict])))
     except Exception as exc:  # a ParseError by its diagnostic; any other error is compared too
         reports.append(repr((type(exc).__name__, getattr(exc, "diagnostic", str(exc)))))
-pickle.dump(reports, sys.stdout.buffer)
+for argv in argvs:
+    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    sys.stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    try:
+        code = main(argv)
+        runs.append((sys.stdout.detach().getvalue(), sys.stderr.detach().getvalue(), code))  # detach flushes
+    except BaseException:
+        print("lexitree", *argv, "raised:", file=streams[1])
+        raise
+    finally:
+        sys.stdout, sys.stderr = streams
+pickle.dump((reports, runs), sys.stdout.buffer)
 """
 
 
@@ -126,30 +140,14 @@ def parse_sweep(paths: list) -> list:
     return sweep
 
 
-def parse_reports(src: Path, sweep: list) -> list:
-    """One side's report on each document of the sweep, from one process."""
-    done = subprocess.run([sys.executable, "-c", PARSE_WORKER], env=dict(os.environ, PYTHONPATH=str(src)),
-                          input=pickle.dumps([(document, strict) for _, document, strict in sweep]),
+def side_reports(src: Path, sweep: list, argvs: list) -> tuple:
+    """One checkout's report on each parse of the sweep and its (stdout, stderr, exit code) for each argv."""
+    done = subprocess.run([sys.executable, "-c", WORKER], env=dict(os.environ, PYTHONPATH=str(src)),
+                          input=pickle.dumps(([(document, strict) for _, document, strict in sweep], argvs)),
                           capture_output=True)
     if done.returncode:
-        raise SystemExit(f"the parse sweep failed with {src}:\n{done.stderr.decode(errors='replace')}")
+        raise SystemExit(f"the worker failed with {src}:\n{done.stderr.decode(errors='replace')}")
     return pickle.loads(done.stdout)
-
-
-def in_process(argv: list) -> tuple:
-    """(stdout, stderr, exit code) of this checkout's `main(argv)`, streams as a process has them."""
-    saved = sys.stdout, sys.stderr
-    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    sys.stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
-    try:
-        code = cli.main(argv)
-        streams = []
-        for stream in (sys.stdout, sys.stderr):
-            stream.flush()
-            streams.append(stream.buffer.getvalue())
-    finally:
-        sys.stdout, sys.stderr = saved
-    return streams[0], streams[1], code
 
 
 def in_subprocess(interpreter: str, argv: list, env: dict) -> tuple:
@@ -172,7 +170,7 @@ def main() -> int:
                         help="an interpreter to run this checkout under (default: the running one)")
     args = parser.parse_args()
     os.environ.pop("LEXITREE_RULES", None)
-    os.chdir(ROOT)  # in-process runs then read the relative fixture paths that the processes print
+    os.chdir(ROOT)  # the workers then read the relative fixture paths that the processes print
     versions = {interpreter: subprocess.run([interpreter, "-c", "import sys; print(sys.version.split()[0])"],
                                             capture_output=True, text=True, check=True).stdout.strip()
                 for interpreter in args.interpreters}
@@ -192,12 +190,13 @@ def main() -> int:
                     path = inputs / f"{fixture.stem}.{label[2:].replace(' ', '-')}.xml"
                     path.write_bytes(variant)
                     argvs += [["validate", str(path)], ["expand", str(path)]]
-            base_env, env = (dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
-                             for src in (base / "src", ROOT / "src"))
+            sweep = parse_sweep(fixtures + generated)
+            want_parses, want_runs = side_reports(base / "src", sweep, argvs)
+            parses, in_process = side_reports(ROOT / "src", sweep, argvs)
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
             differed = 0
-            for argv in argvs:
-                want = in_subprocess(sys.executable, argv, base_env)
-                runs = [("run in process", in_process(argv))]
+            for argv, want, got in zip(argvs, want_runs, in_process):
+                runs = [("run in process", got)]
                 runs += [(f"run under {interpreter} ({version})", in_subprocess(interpreter, argv, env))
                          for interpreter, version in versions.items()]
                 bad = [(run, got) for run, got in runs if got != want]
@@ -208,10 +207,8 @@ def main() -> int:
                     for name, a, b in zip(("stdout", "stderr", "exit code"), want, got):
                         if a != b:
                             print(f"  {name} of {args.base} against this checkout's {run}, {difference(a, b)}")
-            sweep = parse_sweep(fixtures + generated)
             parses_differed = 0
-            for (label, _, _), want, got in zip(sweep, parse_reports(base / "src", sweep),
-                                                parse_reports(ROOT / "src", sweep)):
+            for (label, _, _), want, got in zip(sweep, want_parses, parses):
                 if got != want:
                     parses_differed += 1
                     print(f"differs on parse: {label}")

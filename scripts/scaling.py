@@ -47,6 +47,10 @@ copies the parent's whole state for every child but the last. On a chain
 whose `pos` alternates between verb and noun, each overwrite to verb makes
 the default rule `dep gen pos noun` scan the whole state for `gen`.
 
+Each timed row runs its operation up to five times, while the runs total
+under about a second, and prints the median; a row that takes longer runs
+once. Repeating a row changes no row, label or order of the output.
+
 Usage: PYTHONPATH=src python scripts/scaling.py [--levels N]
 """
 
@@ -54,6 +58,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -153,7 +158,14 @@ def operations(tree, twin, registry, with_materialize, with_effective):
     return ops
 
 
-def print_row(op, seconds, nodes):
+def row(op, run, nodes):
+    """Time `run` up to five times, while the runs total under about a second, and print the median."""
+    times = []
+    while len(times) < 5 and sum(times) < 1:
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    seconds = statistics.median(times)
     print(f"  {op:<24} {seconds * 1e6 / nodes:9.2f} µs/node  {seconds:8.3f} s")
 
 
@@ -162,9 +174,7 @@ def report(name, make, registry, with_materialize, with_effective):
     nodes = nodes_in(tree)
     print(f"{name} ({nodes:,} nodes)")
     for op, run in operations(tree, twin, registry, with_materialize, with_effective).items():
-        start = time.perf_counter()
-        run()
-        print_row(op, time.perf_counter() - start, nodes)
+        row(op, run, nodes)
     if not with_materialize:
         print(f"  {'materialize_inheritance':<24} skipped above {MATERIALIZE_MAX_LEVELS:,} levels")
     if not with_effective:
@@ -183,9 +193,7 @@ def report_stray_text():
         "parse_entry, early": document[:first] + b"," + document[first:],
         "parse_entry, late": document[:last] + b"," + document[last:],
     }.items():
-        start = time.perf_counter()
-        parse_entry(text)
-        print_row(op, time.perf_counter() - start, nodes)
+        row(op, lambda: parse_entry(text), nodes)
 
 
 def report_memory(levels):
@@ -216,13 +224,13 @@ def report_refusals(levels, registry):
         "materialize_inheritance": lambda: materialize_inheritance(tree, registry),
         "enumerate_traversals": lambda: enumerate_traversals(tree),
     }.items():
-        start = time.perf_counter()
-        try:
-            run()
-        except UnexpandedAlternatives:
-            print_row(op, time.perf_counter() - start, levels)
-        else:
+        def refusal():
+            try:
+                run()
+            except UnexpandedAlternatives:
+                return
             raise SystemExit(f"{op} did not refuse a tree with alternatives")
+        row(op, refusal, levels)
 
 
 def report_quadratic(levels, registry):
@@ -232,9 +240,7 @@ def report_quadratic(levels, registry):
         "comb, leaf last": comb(levels, leaf_first=False),
         "chain, pos alternating": chain(levels, props=flipping),
     }.items():
-        start = time.perf_counter()
-        check_consistency(tree, registry)
-        print_row(name, time.perf_counter() - start, nodes_in(tree))
+        row(name, lambda: check_consistency(tree, registry), nodes_in(tree))
 
 
 def main():

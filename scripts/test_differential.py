@@ -21,3 +21,4 @@ def test_head_matches_itself():
     assert summary, proc.stdout
     counts = [int(n) for n in summary.groups()]
     assert counts[0::2] == counts[1::2] and all(counts), summary[0]
+    assert counts[3] >= 472 and counts[5] >= 20_705, f"cases were dropped: {summary[0]}"

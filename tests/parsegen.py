@@ -3,18 +3,21 @@ soup, and pieces of feature-element content with the character data XML makes
 of each. Standard library only, so the script needs no test tools.
 """
 
-SOUP_TAGS = ("dict", "struc", "alt", "brack", "orth", "gender", "sensenum", "Odd_Name", "x.y")
+# Structural and base names repeated, so that more documents parse to trees with children and groups.
+SOUP_TAGS = ("dict", "struc", "struc", "alt", "alt", "brack", "orth", "orth", "def", "gender", "sensenum",
+             "Odd_Name", "x.y")
 SOUP_ATTRS = ("", ' n="1"', ' a="x" b="&lt;"')
 SOUP_TEXT = ("x", " ", "a  b", "\n  ", "&amp;", "\u00e9", "<![CDATA[<b> ]]>", "<!-- c -->", "&#233;", "\t")
 
 
 def tag_soup(pick, integer) -> bytes:
     """Random nesting of structural, base, unknown and unusable element
-    names, with attributes and text; mostly well-formed, sometimes with a
-    mismatched end tag or truncated. `pick(options)` chooses one of a sequence
-    and `integer(low, high)` one integer from low to high, both included: a
-    hypothesis draw, or a seeded `random.Random`'s `choice` and `randint`."""
-    root = pick(("struc", "dict", None))
+    names, with attributes and text; mostly well-formed, sometimes with the
+    root closed early, a mismatched end tag or truncated. `pick(options)`
+    chooses one of a sequence and `integer(low, high)` one integer from low
+    to high, both included: a hypothesis draw, or a seeded `random.Random`'s
+    `choice` and `randint`."""
+    root = pick(("struc", "struc", "struc", "dict", None))
     out, open_tags = ([f"<{root}>"], [root]) if root else ([], [])
     for _ in range(integer(0, 24)):
         action = pick(("open", "open", "empty", "close", "text"))
@@ -24,13 +27,15 @@ def tag_soup(pick, integer) -> bytes:
             if action == "open":
                 open_tags.append(tag)
         elif action == "close":
-            mismatch = not open_tags or pick([False] * 9 + [True])
+            if open_tags == [root] and not pick([False] * 9 + [True]):  # the root closes early 1 in 10
+                continue
+            mismatch = not open_tags or pick([False] * 29 + [True])
             out.append(f"</{pick(SOUP_TAGS) if mismatch else open_tags.pop()}>")
         else:
             out.append(pick(SOUP_TEXT))
     out.extend(f"</{tag}>" for tag in reversed(open_tags))
     document = "".join(out).encode("utf-8")
-    if pick((False, False, False, True)):
+    if pick([False] * 9 + [True]):
         document = document[: integer(0, len(document))]
     return document
 
