@@ -30,9 +30,11 @@ each one and each two of `tests/parsegen.py`'s value pieces, which reach
 both sides of the parser's check for text that is already canonical.
 
 The script lists each case that differs, with the run that differed, prints
-a summary line, and exits 1 if any case differed. A worker that fails, as
-when `main()` raises, ends it with the worker's traceback. It needs only the
-standard library and git, and takes about a minute on two cores.
+a summary line, and exits 1 if any case differed or if a case list is shorter
+than its floor (`MIN_COMMAND_RUNS`, `MIN_PARSES`), so that cases cannot drop
+out unnoticed. A worker that fails, as when `main()` raises, ends it with the
+worker's traceback. It needs only the standard library and git, and takes
+about a minute on two cores.
 
 Usage: python scripts/differential.py --base REV [INTERPRETER ...]
 """
@@ -72,6 +74,7 @@ COMMANDS = [
 CORPUS_SEED, CORPUS_ENTRIES = 5, 10
 BIG_SEED, BIG_DEPTH = 7, 6
 SOUP_SEED, SOUP_DOCUMENTS = 17, 10_000
+MIN_COMMAND_RUNS, MIN_PARSES = 472, 20_705  # each case list's length when its floor was set
 
 # Each checkout's worker: (document, strict) pairs and argvs in, a report per parse and per argv out, pickled.
 WORKER = """
@@ -215,10 +218,14 @@ def main() -> int:
                     print(f"  report of {args.base} against this checkout's, {difference(want, got)}")
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)], check=True)
+    short = [f"{len(cases)} {name}, fewer than {floor}" for name, cases, floor in
+             (("command runs", argvs, MIN_COMMAND_RUNS), ("parses", sweep, MIN_PARSES)) if len(cases) < floor]
+    if short:
+        print("cases were dropped:", "; ".join(short))
     total, matched = len(argvs) + len(sweep), len(argvs) - differed + len(sweep) - parses_differed
     print(f"{matched} of {total} cases match {args.base}: {len(argvs) - differed} of {len(argvs)} command runs, "
           f"{len(sweep) - parses_differed} of {len(sweep)} parses")
-    return 1 if differed or parses_differed else 0
+    return 1 if differed or parses_differed or short else 0
 
 
 if __name__ == "__main__":

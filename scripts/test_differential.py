@@ -1,5 +1,6 @@
-"""Self-check of the output differential: the committed HEAD against itself,
-every case matching.
+"""Self-check of the output differential: the committed HEAD against this
+working tree, every case matching and no case list below its floor (the
+script's exit status holds the floors).
 
     python3 -m pytest scripts/test_differential.py
 """
@@ -21,4 +22,3 @@ def test_head_matches_itself():
     assert summary, proc.stdout
     counts = [int(n) for n in summary.groups()]
     assert counts[0::2] == counts[1::2] and all(counts), summary[0]
-    assert counts[3] >= 472 and counts[5] >= 20_705, f"cases were dropped: {summary[0]}"

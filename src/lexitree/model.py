@@ -472,6 +472,17 @@ def iter_nodes(root: Node) -> Iterator[tuple[NodePath, Node]]:
         yield tuple(path), node
 
 
+def _tree_properties(root: Node) -> list[Property]:
+    """Each node's properties, then its alternatives', in document order; a `brack`'s contents are left out."""
+    props: list[Property] = []
+    for _, _, node in _preorder(root):
+        props += node.properties
+        for group in node.alt_groups:
+            for alternative in group.alternatives:
+                props += alternative
+    return props
+
+
 def _require_alt_free(root: Node) -> None:
     """Raise UnexpandedAlternatives at the first node in document order that has alternatives."""
     if any(node.alt_groups for _, _, node in _preorder(root)):
@@ -485,17 +496,7 @@ def unregistered_features(root: Node, registry: FeatureClassRegistry) -> list[Fe
     """The features of node properties and alternatives missing from `registry.classes`, each
     once, in document order; a `brack` bundle's contents, never classified, are left out."""
     classes = registry.classes
-    found: dict[FeatureName, None] = {}
-    for _, _, node in _preorder(root):
-        for prop in node.properties:
-            if prop.feature not in classes:
-                found[prop.feature] = None
-        for group in node.alt_groups:
-            for alternative in group.alternatives:
-                for prop in alternative:
-                    if prop.feature not in classes:
-                        found[prop.feature] = None
-    return list(found)
+    return list(dict.fromkeys([p.feature for p in _tree_properties(root) if p.feature not in classes]))
 
 
 def attach_property(node: Node, prop: Property, registry: FeatureClassRegistry) -> Node:
@@ -577,26 +578,26 @@ def _walk(root: Node, registry: FeatureClassRegistry) -> Iterator[tuple[list[int
     where `doubled` lists the node's doubled overwriting features as `_fold`
     does. The walk raises nothing and ignores alternative groups.
 
-    Each node is folded once, onto its parent's state less the parent's local
-    entries; the last child takes that state over, earlier siblings get copies.
-    `path` and `state` are updated in place and hold only until the walk
-    resumes. Only `check_consistency` and `_effective_lists` read it.
+    Each node is folded once, onto its parent's state, and drops its local
+    entries when the walk resumes; its last child takes that state over, earlier
+    siblings get copies. `path` and `state` are updated in place and hold only
+    until the walk resumes. Only `check_consistency` and `_effective_lists` read it.
     """
     classify, table = registry.classify, _rule_table(registry)
     path: list[int] = []
-    stack: list[tuple[int, int, Node, _State, list[int]]] = [(0, 0, root, {}, [])]
+    stack: list[tuple[int, int, Node, _State]] = [(0, 0, root, {})]
     while stack:
-        depth, index, node, state, dropped = stack.pop()
+        depth, index, node, state = stack.pop()
         if depth:
             path[depth - 1:] = (index,)
-        for key in dropped:
-            del state[key]
         doubled: list[tuple[Property, Property]] = []
         local_keys = _fold(state, node, depth, classify, table, doubled)
         yield path, node, state, doubled
+        for key in local_keys:
+            del state[key]
         last = len(node.children) - 1
         for i in range(last, -1, -1):
-            stack.append((depth + 1, i, node.children[i], state if i == last else dict(state), local_keys))
+            stack.append((depth + 1, i, node.children[i], state if i == last else dict(state)))
 
 
 def _effective_lists(root: Node, registry: FeatureClassRegistry, leaves_only: bool = False) -> Iterator[tuple]:

@@ -53,6 +53,7 @@ from .model import (
     Node,
     Property,
     _Value,
+    _tree_properties,
 )
 
 DEFAULT_BASE_ELEMENTS = frozenset(
@@ -506,18 +507,9 @@ def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> 
         escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         elements[id(prop)] = (f"{head}>{escaped}{tag[1]}" if text else f"{head}/>").encode()
 
-    stack = [root]  # pass 1, in document order, so the first refusal is the first in the output
-    while stack:
-        node = stack.pop()
-        for prop in node.properties:
-            if id(prop) not in elements:
-                element(prop)
-        for group in node.alt_groups:
-            for alternative in group.alternatives:
-                for prop in alternative:
-                    if id(prop) not in elements:
-                        element(prop)
-        stack += reversed(node.children)
+    for prop in _tree_properties(root):  # pass 1, in document order, so the first refusal is the first in the output
+        if id(prop) not in elements:
+            element(prop)
     get = elements.get
 
     def brack(prop: Property, level: int) -> bytes:

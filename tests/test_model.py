@@ -193,6 +193,10 @@ def test_unregistered_features_lists_each_once_in_document_order():
     assert all(isinstance(feature, FeatureName) for feature in found)
     everything = {f: FeatureClass.LOCAL for f in ("zeta", "orth", "brack", "alpha", "beta", "gamma", "delta")}
     assert unregistered_features(tree, FeatureClassRegistry(everything)) == []
+    # a non-root node's alternatives come after its properties and before its children
+    inner = Node([P("eta", "g")], [AltGroup([[P("theta", "h")], [P("eta", "i")]])], [Node([P("iota", "j")])])
+    tree = Node([P("kappa", "k")], children=[inner, Node([P("lambda", "l")])])
+    assert unregistered_features(tree, NoClassify({})) == ["kappa", "eta", "theta", "iota", "lambda"]
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,8 @@ def test_empty_value_round_trips():
 def test_serialize_unknown_feature_rejected():
     with pytest.raises(UnknownFeature):
         serialize_entry(Node([Property("nonsuch", "x")]))
+    with pytest.raises(UnknownFeature):  # a node's alternatives are checked before its children
+        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("nonsuch", "1")], [P("pos", "v")]])], [Node([P("def", "a  b")])]))
 
 
 def test_serialize_rejects_out_of_encoding_values():
@@ -443,9 +445,11 @@ def test_serialize_refuses_whitespace_that_would_not_read_back():
             with pytest.raises(SerializeError) as err:
                 serialize_entry(Node([P("orth", "x"), prop]))
             assert ("def" if prop.feature == "def" else "xr") in str(err.value), repr(text)
-    with pytest.raises(SerializeError) as err:
-        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("pos", "n")], [P("pos", "v ")]])]))
-    assert "pos" in str(err.value)
+    alts = AltGroup([[P("pos", "n")], [P("pos", "v ")]])
+    for children in ((), [Node([P("nonsuch", "1")])]):  # a node's alternatives are checked before its children
+        with pytest.raises(SerializeError) as err:
+            serialize_entry(Node([P("orth", "x")], [alts], children))
+        assert "pos" in str(err.value), children
     for text in ("", "a b", "\u00a0a\u00a0 b", "e\u0301 f"):  # what reads back is written
         tree = Node([P("orth", "x"), P("def", text)])
         assert parse_entry(serialize_entry(tree))[0] == Node([P("orth", "x"), P("def", unicodedata.normalize("NFC", text))])
