@@ -23,11 +23,15 @@ The parser keeps a value that arrives canonical as it is, so a second parse
 row reads the same document with runs of XML whitespace around every value,
 which the parser must collapse.
 
-The memory row runs `lexitree materialize` on a chain of up to 1,000 levels
-in a process of its own, through `bench/cli_probe.py`, and prints the size
-of what it wrote (levels²/2 properties) and the process's peak RSS. The
-command writes its output in chunks, so the peak stays near the size of the
-materialized tree rather than that of the document.
+The memory rows run three commands, each in a process of its own through
+`bench/cli_probe.py`, and print the size of what it wrote and the process's
+peak RSS: `lexitree materialize` on a chain of up to 1,000 levels (levels²/2
+properties), and `lexitree traversals` and `lexitree table --cols def` on a
+comb of as many levels, leaf first, whose every leaf lists or joins the
+`def` of each level above it (levels²/2 lines or values). Each command
+writes its output in chunks, so the peak stays near the size of what it
+holds (the materialized tree; each listed node's path and effective set, or
+each row) rather than that of the output.
 
 The stray-text rows time `parse_entry` of the balanced tree's document,
 clean and with a comma after its first start tag or before its last end tag.
@@ -196,24 +200,34 @@ def report_stray_text():
         row(op, lambda: parse_entry(text), nodes)
 
 
-def report_memory(levels):
-    """`lexitree materialize` of a chain, as its own process: bytes written and peak RSS."""
+def probe_memory(tree, argv):
+    """`lexitree ARGV[0] FILE ARGV[1:]` on `tree`'s document, as its own process: bytes written and peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(Path(lexitree.__file__).resolve().parent.parent))
     with tempfile.TemporaryDirectory() as tmp:
-        document = Path(tmp) / "chain.xml"
-        document.write_bytes(serialize_entry(chain(levels)))
-        with subprocess.Popen([sys.executable, str(PROBE), "materialize", str(document)], env=env,
+        document = Path(tmp) / "entry.xml"
+        document.write_bytes(serialize_entry(tree))
+        with subprocess.Popen([sys.executable, str(PROBE), argv[0], str(document), *argv[1:]], env=env,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             written = 0
             while block := proc.stdout.read(1 << 16):  # counted, not kept
                 written += len(block)
             report = proc.stderr.read().decode().rstrip("\n").rpartition("\n")[2]
     if proc.returncode:
-        raise SystemExit(f"lexitree materialize failed on the {levels:,}-level chain: {report}")
-    peak = json.loads(report)["maxrss_mb"]
-    print(f"memory: lexitree materialize, chain of {levels:,} levels")
-    print(f"  {'output':<24} {written / 1e6:9.1f} MB")
-    print(f"  {'peak RSS':<24} {peak:9.1f} MB")
+        raise SystemExit(f"lexitree {' '.join(argv)} failed: {report}")
+    return written, json.loads(report)["maxrss_mb"]
+
+
+def report_memory(levels):
+    for title, tree, argv in (
+        (f"lexitree materialize, chain of {levels:,} levels", chain(levels), ["materialize"]),
+        (f"lexitree traversals, comb of {levels:,} levels, leaf first", comb(levels, leaf_first=True), ["traversals"]),
+        (f"lexitree table --cols def, comb of {levels:,} levels, leaf first", comb(levels, leaf_first=True),
+         ["table", "--cols", "def"]),
+    ):
+        written, peak = probe_memory(tree, argv)
+        print(f"memory: {title}")
+        print(f"  {'output':<24} {written / 1e6:9.1f} MB")
+        print(f"  {'peak RSS':<24} {peak:9.1f} MB")
 
 
 def report_refusals(levels, registry):

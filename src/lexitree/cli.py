@@ -17,6 +17,7 @@ LEXITREE_RULES overrides it and --rules overrides both.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import os
 import sys
@@ -34,13 +35,13 @@ from .model import (
     _effective_lists,
     check_consistency,
     effective_set,
-    enumerate_traversals,  # this, partial_traversals and serialize_entry: uncalled here; bench/commands.py wraps them
+    enumerate_traversals,  # this, partial_traversals, render_table, serialize_entry: uncalled; bench/commands.py wraps them
     format_path,
     format_value,
     partial_traversals,
     unregistered_features,
 )
-from .transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance, render_table
+from .transform import TableSpec, _table_lines, expand_alternatives, extract_table, materialize_inheritance, render_table
 from .xmlio import DEFAULT_PROFILE, parse_entry, serialize_chunks, serialize_entry
 
 OK = 0
@@ -129,6 +130,24 @@ def _listing(props: Iterable[Property], lines: dict[int, str]) -> str:
                     for p in props])
 
 
+def _write_chunks(pieces: Iterable[str], texts: Iterable[str], sep: str = "") -> None:
+    """Write `pieces`, joined by `sep`, to stdout in writes of about 64 K characters. Unless
+    stdout encodes to UTF-8, each of `texts`, which together hold every character of `pieces`,
+    is first encoded as stdout would, so text it cannot carry raises before the first write."""
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding and codecs.lookup(encoding).name != "utf-8":
+        for text in texts:
+            text.encode(encoding, sys.stdout.errors)
+    chunk, size = [], 0
+    for piece in pieces:
+        if size >= 1 << 16:
+            sys.stdout.write(sep.join(chunk) + sep)
+            chunk, size = [], 0
+        chunk.append(piece)
+        size += len(piece)
+    sys.stdout.write(sep.join(chunk))
+
+
 def _cmd_validate(args, registry: FeatureClassRegistry) -> int:
     violations = check_consistency(_read_tree(args.file, registry), registry)
     if not violations:
@@ -146,13 +165,12 @@ def _cmd_effective(args, registry: FeatureClassRegistry) -> int:
 
 
 def _cmd_traversals(args, registry: FeatureClassRegistry) -> int:
-    # built whole before writing, so a failure partway leaves stdout empty
-    lines: dict[int, str] = {}
-    blocks = [
-        f"{format_path(path) if path else ''}\n{_listing(props, lines)}"
-        for path, _, props in _effective_lists(_read_tree(args.file, registry), registry, leaves_only=not args.partial)
-    ]
-    sys.stdout.write("\n".join(blocks))
+    # the walk ends before the first write, so a refused tree leaves stdout empty
+    listed = [(format_path(path) if path else "", props) for path, _, props
+              in _effective_lists(_read_tree(args.file, registry), registry, leaves_only=not args.partial)]
+    lines: dict[int, str] = {}  # filled by the encoding check, if stdout needs one, else by the blocks
+    blocks = (f"{path}\n{_listing(props, lines)}" for path, props in listed)
+    _write_chunks(blocks, (_listing(props, lines) for _, props in listed), "\n")
     return OK
 
 
@@ -174,7 +192,7 @@ def _cmd_table(args, registry: FeatureClassRegistry) -> int:
         raise _UsageError("--cols must name at least one feature")
     spec = TableSpec(columns, format=args.format)
     rows = extract_table(_read_tree(args.file, registry), spec, registry)
-    sys.stdout.write(render_table(spec, rows))
+    _write_chunks(_table_lines(spec, rows), (cell for row in (spec.columns, *rows) for cell in row))
     return OK
 
 

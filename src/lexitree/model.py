@@ -603,16 +603,17 @@ def _walk(root: Node, registry: FeatureClassRegistry) -> Iterator[tuple[list[int
 def _effective_lists(root: Node, registry: FeatureClassRegistry, leaves_only: bool = False) -> Iterator[tuple]:
     """The strict entry to `_walk`: yield (path, node, properties) for every
     node, or every leaf when `leaves_only`; `path` holds as in `_walk`, and
-    `properties` is a fresh list of the node's effective set. Alternatives
-    anywhere raise UnexpandedAlternatives before any node is folded, then the
-    first doubled overwriting feature raises OverwriteConflict."""
+    `properties` is the node's effective set, a tuple of the tree's own Property
+    objects. Alternatives anywhere raise UnexpandedAlternatives before any node
+    is folded, then the first doubled overwriting feature raises OverwriteConflict."""
     _require_alt_free(root)
     for path, node, state, doubled in _walk(root, registry):
         if doubled:
             first, second = doubled[0]
             raise OverwriteConflict(second.feature, first.value, second.value)
         if not (leaves_only and node.children):
-            yield path, node, list(map(itemgetter(0), state.values()))
+            # from a list, at its size: tuple(map(...)) would grow one per node and leave it in a free list
+            yield path, node, tuple([*map(itemgetter(0), state.values())])
 
 
 def effective_set(

@@ -8,7 +8,7 @@ results are safe because nothing here mutates a node.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import (
     FeatureClassRegistry,
@@ -93,7 +93,7 @@ def materialize_inheritance(root: Node, registry: FeatureClassRegistry) -> Node:
     Running the operation twice changes nothing: re-specified values are
     no-ops and duplicated cumulative values collapse.
     """
-    folded = [(node, props) for _, node, props in _effective_lists(root, registry)]
+    folded = [(node, props) for _, node, props in _effective_lists(root, registry)]  # Node keeps each tuple as it is
     built: list[Node] = []
     for node, props in reversed(folded):  # each node's children are built before it
         children = [built.pop() for _ in node.children]
@@ -132,14 +132,18 @@ def extract_table(root: Node, spec: TableSpec, registry: FeatureClassRegistry) -
 
 
 def render_table(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
-    """The header and rows as tab-separated lines, or as an HTML table."""
+    """The header and rows as tab-separated lines, or as an HTML table: the
+    join of `_table_lines`, which `lexitree table` writes in chunks instead."""
+    return "".join(_table_lines(spec, rows))
+
+
+def _table_lines(spec: TableSpec, rows: list[tuple[str, ...]]) -> Iterator[str]:
+    """`render_table`'s text one table row at a time (the header first), each piece ending in a newline."""
     header = tuple(map(str, spec.columns))
     if spec.format == "tsv":
-        return "\n".join("\t".join(cells) for cells in (header, *rows)) + "\n"
-    lines = ["<table>"]
+        yield from ("\t".join(cells) + "\n" for cells in (header, *rows))
+        return
+    yield "<table>\n"
     for tag, cells in [("th", header), *(("td", row) for row in rows)]:
-        lines.append("  <tr>")
-        lines.extend(f"    <{tag}>{_escape_text(cell)}</{tag}>" for cell in cells)
-        lines.append("  </tr>")
-    lines.append("</table>")
-    return "\n".join(lines) + "\n"
+        yield "".join(["  <tr>\n", *(f"    <{tag}>{_escape_text(cell)}</{tag}>\n" for cell in cells), "  </tr>\n"])
+    yield "</table>\n"

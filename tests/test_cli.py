@@ -507,6 +507,53 @@ def test_a_refusal_after_a_chunk_of_valid_output_leaves_stdout_empty(capsys, tmp
     assert err.endswith("lexitree: feature 'foo' has no base element in the profile\n")
 
 
+# 1,000 leaves after the root: a listing or table of them takes several writes
+MANY_LEAVES = "<struc><orth>x</orth>" + "".join(f"<struc><def>{'d' * 80}{i}</def></struc>" for i in range(1000))
+
+
+class CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [["traversals", "--full"], ["traversals", "--partial"], ["table", "--cols", "orth,def"]])
+def test_a_conflict_after_several_chunks_of_listing_leaves_stdout_empty(capsys, tmp_path, argv):
+    command, *options = argv
+    valid, doubled = tmp_path / "valid.xml", tmp_path / "doubled.xml"
+    valid.write_text(MANY_LEAVES + "</struc>", encoding="utf-8")
+    doubled.write_text(MANY_LEAVES + "<struc><pos>noun</pos><pos>verb</pos></struc></struc>", encoding="utf-8")
+    stdout = CountingStdout()
+    with contextlib.redirect_stdout(stdout):
+        assert main([command, str(valid), *options]) == 0
+    assert stdout.writes > 1
+    code, out, err = run(capsys, command, doubled, *options)
+    assert (code, out) == (1, "")
+    assert err == "lexitree: overwriting feature 'pos' already set at this node ('noun' vs 'verb')\n"
+
+
+def test_a_value_stdout_cannot_encode_leaves_stdout_empty(tmp_path):
+    # The last leaf's value comes after several writes' worth of output that latin-1 carries.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "LEXITREE_RULES"}
+    env.update(PYTHONIOENCODING="latin-1", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    for value, carried in (("é", True), ("ʒ", False)):
+        doc = tmp_path / "entry.xml"
+        doc.write_text(f"{MANY_LEAVES}<struc><pron>{value}</pron></struc></struc>", encoding="utf-8")
+        for argv in (["traversals", doc], ["table", doc, "--cols", "orth,pron"]):
+            proc = subprocess.run([sys.executable, "-m", "lexitree", *map(str, argv)], capture_output=True, env=env)
+            if carried:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(list(map(str, argv))) == 0
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.getvalue().encode("latin-1"), b"")
+            else:
+                assert (proc.returncode, proc.stdout) == (1, b""), argv
+                assert proc.stderr.startswith(b"lexitree: 'latin-1' codec can't encode character '\\u0292' in position ")
+
+
 def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
     # Deeper than the interpreter's recursion limit. Odd levels set gen under
     # pos=noun; even levels turn pos to verb, which blocks the inherited gen.
