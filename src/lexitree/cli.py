@@ -7,11 +7,11 @@
     lexitree materialize FILE [--rules RULES]
     lexitree table       FILE --cols F1,F2,... [--format tsv|html] [--rules RULES]
 
-Exit codes: 0 success, 1 semantic violation or bad argument, 2 input parse
-failure. stdout carries only payload; diagnostics, a warning per unregistered
-feature included, go to stderr. Paths are dotted 0-based child indices; the
-empty string is the root. The rules file defaults to the shipped one;
-LEXITREE_RULES overrides it and --rules overrides both.
+Exit codes: 0 success, 1 semantic violation, bad argument or a closed stdout
+(nothing on stderr), 2 input parse failure. stdout carries only payload;
+diagnostics, a warning per unregistered feature included, go to stderr. Paths
+are dotted 0-based child indices; the empty string is the root. The rules file
+defaults to the shipped one; LEXITREE_RULES overrides it and --rules both.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import functools
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import rules as rules_mod
 from .model import (
@@ -130,16 +130,16 @@ def _listing(props: Iterable[Property], lines: dict[int, str]) -> str:
                     for p in props])
 
 
-def _write_chunks(pieces: Iterable[str], texts: Iterable[str], sep: str = "") -> None:
-    """Write `pieces`, joined by `sep`, to stdout in writes of about 64 K characters. Unless
-    stdout encodes to UTF-8, each of `texts`, which together hold every character of `pieces`,
-    is first encoded as stdout would, so text it cannot carry raises before the first write."""
+def _write_chunks(pieces: Callable[[], Iterable[str]], sep: str = "") -> None:
+    """Write the pieces that `pieces()` yields, joined by `sep`, to stdout in writes of about
+    64 K characters. Unless stdout encodes to UTF-8, `pieces()` runs twice: first to encode each
+    piece as stdout would, so text it cannot carry raises before the first write."""
     encoding = getattr(sys.stdout, "encoding", None)
     if encoding and codecs.lookup(encoding).name != "utf-8":
-        for text in texts:
-            text.encode(encoding, sys.stdout.errors)
+        for piece in pieces():
+            piece.encode(encoding, sys.stdout.errors)
     chunk, size = [], 0
-    for piece in pieces:
+    for piece in pieces():
         if size >= 1 << 16:
             sys.stdout.write(sep.join(chunk) + sep)
             chunk, size = [], 0
@@ -168,9 +168,8 @@ def _cmd_traversals(args, registry: FeatureClassRegistry) -> int:
     # the walk ends before the first write, so a refused tree leaves stdout empty
     listed = [(format_path(path) if path else "", props) for path, _, props
               in _effective_lists(_read_tree(args.file, registry), registry, leaves_only=not args.partial)]
-    lines: dict[int, str] = {}  # filled by the encoding check, if stdout needs one, else by the blocks
-    blocks = (f"{path}\n{_listing(props, lines)}" for path, props in listed)
-    _write_chunks(blocks, (_listing(props, lines) for _, props in listed), "\n")
+    lines: dict[int, str] = {}  # each property's line is formatted once, even if the blocks are built twice
+    _write_chunks(lambda: (f"{path}\n{_listing(props, lines)}" for path, props in listed), "\n")
     return OK
 
 
@@ -192,14 +191,19 @@ def _cmd_table(args, registry: FeatureClassRegistry) -> int:
         raise _UsageError("--cols must name at least one feature")
     spec = TableSpec(columns, format=args.format)
     rows = extract_table(_read_tree(args.file, registry), spec, registry)
-    _write_chunks(_table_lines(spec, rows), (cell for row in (spec.columns, *rows) for cell in row))
+    _write_chunks(lambda: _table_lines(spec, rows))
     return OK
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args, _load_registry(args.rules) if "rules" in args else None)
+        code = args.run(args, _load_registry(args.rules) if "rules" in args else None)
+        sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped early; what is left in stdout's buffer goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return SEMANTIC
     except LexitreeError as exc:
         hint = " (run: lexitree expand)" if isinstance(exc, UnexpandedAlternatives) else ""
         print(f"lexitree: {exc}{hint}", file=sys.stderr)

@@ -86,14 +86,20 @@ class FeatureName(str):
 class _Value:
     """Base of the frozen value types: what `@dataclass(frozen=True)` gave them,
     without generating code at import. Field-wise `==`, `hash` and `repr` over
-    `_fields`, which the subclass also makes its `__slots__`; no assignment, so
-    constructors and subclasses set attributes through `object.__setattr__`."""
+    `_fields`, which the subclass also makes its `__slots__`. The one constructor
+    path is `__init__`, which takes the fields positionally, one value each; a
+    subclass checks or converts its arguments and hands them on. No assignment
+    after that."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._get = attrgetter(*cls._fields)  # the field values in one C call; a lone field comes back bare
         cls.__match_args__ = cls._fields
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):  # a missing or extra value raises
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -130,7 +136,7 @@ class Atomic(_Value):
     text: str
 
     def __init__(self, text: str):
-        object.__setattr__(self, "text", text)
+        super().__init__(text)
 
 
 class Composite(_Value):
@@ -140,7 +146,7 @@ class Composite(_Value):
     properties: tuple["Property", ...]
 
     def __init__(self, properties: Iterable["Property"] = ()):
-        object.__setattr__(self, "properties", tuple(properties))
+        super().__init__(tuple(properties))
 
 
 FeatureValue = Union[Atomic, Composite]
@@ -164,19 +170,16 @@ class Property(_Value):
         value: FeatureValue | str,
         attrs: Iterable[tuple[str, str]] = (),
     ):
-        object.__setattr__(self, "feature", FeatureName(feature))
-        if isinstance(value, str):
-            value = Atomic(value)
-        object.__setattr__(self, "value", value)
+        feature = FeatureName(feature)
         if attrs:
             attrs = tuple((str(k), str(v)) for k, v in attrs)
             names = [k for k, _ in attrs]
             if len(names) != len(set(names)):
-                raise ValueError(f"duplicate attribute names on {self.feature!r}: {names}")
+                raise ValueError(f"duplicate attribute names on {feature!r}: {names}")
             for name in names:
                 if not name or any(c.isspace() for c in name):
-                    raise ValueError(f"bad attribute name {name!r} on {self.feature!r}")
-        object.__setattr__(self, "attrs", tuple(attrs))
+                    raise ValueError(f"bad attribute name {name!r} on {feature!r}")
+        super().__init__(feature, Atomic(value) if isinstance(value, str) else value, tuple(attrs))
 
 
 class AltGroup(_Value):
@@ -191,7 +194,7 @@ class AltGroup(_Value):
             raise ValueError("an alternative group needs at least two alternatives")
         if any(not a for a in alts):
             raise ValueError("alternatives must be nonempty")
-        object.__setattr__(self, "alternatives", alts)
+        super().__init__(alts)
 
 
 class Node(_Value):
@@ -213,6 +216,7 @@ class Node(_Value):
         alt_groups: Iterable[AltGroup] = (),
         children: Iterable["Node"] = (),
     ):
+        # set here, not through _Value.__init__: expand and materialize build one Node per node
         object.__setattr__(self, "properties", tuple(properties))
         object.__setattr__(self, "alt_groups", tuple(alt_groups))
         object.__setattr__(self, "children", tuple(children))
@@ -273,9 +277,7 @@ class DependencyRule(_Value):
     required_value: str
 
     def __init__(self, dependent: FeatureName | str, governor: FeatureName | str, required_value: str):
-        object.__setattr__(self, "dependent", FeatureName(dependent))
-        object.__setattr__(self, "governor", FeatureName(governor))
-        object.__setattr__(self, "required_value", required_value)
+        super().__init__(FeatureName(dependent), FeatureName(governor), required_value)
 
 
 class FeatureClassRegistry(_Value):
@@ -294,17 +296,14 @@ class FeatureClassRegistry(_Value):
         rules: Iterable[DependencyRule] = (),
         default_class: FeatureClass = FeatureClass.LOCAL,
     ):
-        items = classes.items() if isinstance(classes, Mapping) else classes
-        mapping = {FeatureName(f): c for f, c in items}
+        mapping = {FeatureName(f): c for f, c in dict(classes).items()}
         rules = tuple(rules)
         for rule in rules:
             if mapping.get(rule.governor) is not FeatureClass.OVERWRITING:
                 raise ValueError(
                     f"dependency rule governor {rule.governor!r} is not an overwriting feature"
                 )
-        object.__setattr__(self, "classes", mapping)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "default_class", default_class)
+        super().__init__(mapping, rules, default_class)
 
     def classify(self, feature: FeatureName | str) -> FeatureClass:
         """The class of `feature`, or `default_class`; a name that is not a FeatureName is folded first."""
@@ -329,8 +328,7 @@ class EffectiveFeatureSet(_Value):
         depths = tuple(depths)
         if len(entries) != len(depths):
             raise ValueError("entries and depths must have equal length")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "depths", depths)
+        super().__init__(entries, depths)
 
     def __iter__(self) -> Iterator[Property]:
         return iter(self.entries)
@@ -359,10 +357,6 @@ class OverwriteViolation(_Value):
     existing: FeatureValue
     conflicting: FeatureValue
 
-    def __init__(self, path: NodePath, feature: FeatureName, existing: FeatureValue, conflicting: FeatureValue):
-        for name, value in zip(self._fields, (path, feature, existing, conflicting)):
-            object.__setattr__(self, name, value)
-
     def describe(self) -> str:
         return (
             f"{format_path(self.path)}: overwriting feature {str(self.feature)!r} appears twice "
@@ -379,10 +373,6 @@ class DependencyViolation(_Value):
     governor: FeatureName
     required_value: str
     actual_value: str
-
-    def __init__(self, path: NodePath, dependent: FeatureName, governor: FeatureName, required_value: str, actual_value: str):
-        for name, value in zip(self._fields, (path, dependent, governor, required_value, actual_value)):
-            object.__setattr__(self, name, value)
 
     def describe(self) -> str:
         return (

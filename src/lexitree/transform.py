@@ -114,8 +114,7 @@ class TableSpec(_Value):
             raise ValueError("a table needs at least one column")
         if format not in ("tsv", "html"):
             raise ValueError(f"unsupported table format {format!r}")
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "format", format)
+        super().__init__(cols, format)
 
 
 def extract_table(root: Node, spec: TableSpec, registry: FeatureClassRegistry) -> list[tuple[str, ...]]:

@@ -90,8 +90,7 @@ class EncodingProfile(_Value):
         for name in names:
             if name[0].isdigit():
                 raise ValueError(f"base element {str(name)!r} is not a valid XML name")
-        object.__setattr__(self, "base_elements", names)
-        object.__setattr__(self, "strict", strict)
+        super().__init__(names, strict)
 
 
 DEFAULT_PROFILE = EncodingProfile()
@@ -103,10 +102,6 @@ class ParseDiagnostic(_Value):
     line: int
     column: int
     message: str
-
-    def __init__(self, severity: str, line: int, column: int, message: str):
-        for name, value in zip(self._fields, (severity, line, column, message)):
-            object.__setattr__(self, name, value)
 
     def describe(self) -> str:
         return f"{self.severity}: line {self.line}, column {self.column}: {self.message}"

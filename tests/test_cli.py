@@ -534,24 +534,62 @@ def test_a_conflict_after_several_chunks_of_listing_leaves_stdout_empty(capsys, 
     assert err == "lexitree: overwriting feature 'pos' already set at this node ('noun' vs 'verb')\n"
 
 
-def test_a_value_stdout_cannot_encode_leaves_stdout_empty(tmp_path):
-    # The last leaf's value comes after several writes' worth of output that latin-1 carries.
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment of a `python -m lexitree` run on this checkout's source, with the shipped rules."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "LEXITREE_RULES"}
-    env.update(PYTHONIOENCODING="latin-1", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k not in ("LEXITREE_RULES", "PYTHONUNBUFFERED")}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])), **extra)
+    return env
+
+
+@pytest.mark.parametrize("invocation", [
+    ["traversals"], ["traversals", "--partial"],
+    ["table", "--cols", "orth,pron"], ["table", "--cols", "orth,pron", "--format", "html"],
+], ids=["traversals", "traversals-partial", "table", "table-html"])
+def test_a_value_stdout_cannot_encode_leaves_stdout_empty(tmp_path, invocation):
+    # The last leaf's value comes after several writes' worth of output that latin-1 carries.
+    env = subprocess_env(PYTHONIOENCODING="latin-1")
+    command, *options = invocation
     for value, carried in (("é", True), ("ʒ", False)):
         doc = tmp_path / "entry.xml"
         doc.write_text(f"{MANY_LEAVES}<struc><pron>{value}</pron></struc></struc>", encoding="utf-8")
-        for argv in (["traversals", doc], ["table", doc, "--cols", "orth,pron"]):
-            proc = subprocess.run([sys.executable, "-m", "lexitree", *map(str, argv)], capture_output=True, env=env)
-            if carried:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    assert main(list(map(str, argv))) == 0
-                assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.getvalue().encode("latin-1"), b"")
-            else:
-                assert (proc.returncode, proc.stdout) == (1, b""), argv
-                assert proc.stderr.startswith(b"lexitree: 'latin-1' codec can't encode character '\\u0292' in position ")
+        argv = [command, str(doc), *options]
+        proc = subprocess.run([sys.executable, "-m", "lexitree", *argv], capture_output=True, env=env)
+        if carried:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.getvalue().encode("latin-1"), b"")
+        else:
+            assert (proc.returncode, proc.stdout) == (1, b"")
+            assert proc.stderr.startswith(b"lexitree: 'latin-1' codec can't encode character '\\u0292' in position ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_one_with_stderr_empty(tmp_path, unbuffered):
+    # As `lexitree ... | head` leaves it: no traceback, and no "Exception ignored" at interpreter exit.
+    env = subprocess_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    lexitree = [sys.executable, "-m", "lexitree"]
+    for command in ("validate", "effective"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command starts
+        try:
+            proc = subprocess.run([*lexitree, command, str(FIXTURES / "gendarme.xml")],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b""), command
+    # more than a pipe holds (each command writes at least 1 MB), so the reader closes it mid-output
+    doc = tmp_path / "big.xml"
+    doc.write_text("<struc><orth>x</orth>" + "".join(f"<struc><def>{'d' * 250}{i}</def></struc>" for i in range(5000))
+                   + "</struc>", encoding="utf-8")
+    for argv in (["traversals"], ["expand"], ["materialize"], ["table", "--cols", "def"]):
+        command, *options = argv
+        with subprocess.Popen([*lexitree, command, str(doc), *options],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(3)) == 3
+            proc.stdout.close()
+            assert (proc.stderr.read(), proc.wait()) == (b"", 1), argv
 
 
 def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):

@@ -177,3 +177,25 @@ def test_registry_subclass_can_add_attributes():
     with pytest.raises(AttributeError):
         registry.classes = {}
     assert registry != FeatureClassRegistry({"pos": FeatureClass.OVERWRITING})
+
+
+REPORT_TYPES = ("OverwriteViolation", "DependencyViolation", "ParseDiagnostic")
+
+
+@pytest.mark.parametrize("build, fields", [case[:2] for case, name in zip(CASES, IDS) if name in REPORT_TYPES],
+                         ids=REPORT_TYPES)
+def test_report_types_take_one_value_per_field_positionally(build, fields):
+    value = build()
+    values = [getattr(value, name) for name in fields]
+    assert value.__class__(*values) == value
+    for wrong in (values[:-1], [*values, None]):
+        with pytest.raises(ValueError):
+            value.__class__(*wrong)
+    with pytest.raises(TypeError):
+        value.__class__(**dict(zip(fields, values)))
+
+
+def test_registry_takes_a_mapping_or_pairs():
+    pairs = [("POS", FeatureClass.OVERWRITING), ("def", FeatureClass.CUMULATIVE)]
+    assert FeatureClassRegistry(pairs) == FeatureClassRegistry(dict(pairs))
+    assert FeatureClassRegistry(pairs).classes == {"pos": FeatureClass.OVERWRITING, "def": FeatureClass.CUMULATIVE}
