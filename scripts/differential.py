@@ -63,6 +63,8 @@ COMMANDS = [
     ["effective"],
     ["effective", "--path", "0"],
     ["effective", "--path", "0.0"],
+    ["effective", "--path", "0.0.0"],
+    ["effective", "--path", "0.1.2.0.1.2"],  # a depth-6 leaf of the big_entry document; out of range elsewhere
     ["effective", "--rules", "tests/fixtures/dep_n.rules", "--path", "0"],
     ["traversals"],
     ["traversals", "--partial"],
@@ -74,7 +76,7 @@ COMMANDS = [
 CORPUS_SEED, CORPUS_ENTRIES = 5, 10
 BIG_SEED, BIG_DEPTH = 7, 6
 SOUP_SEED, SOUP_DOCUMENTS = 17, 10_000
-MIN_COMMAND_RUNS, MIN_PARSES = 472, 20_705  # each case list's length when its floor was set
+MIN_COMMAND_RUNS, MIN_PARSES = 542, 20_705  # each case list's length when its floor was set
 
 # Each checkout's worker: (document, strict) pairs and argvs in, a report per parse and per argv out, pickled.
 WORKER = """

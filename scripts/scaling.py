@@ -10,10 +10,10 @@ as on the balanced tree. `materialize_inheritance` writes levels²/2
 properties on a chain, so it runs only on chains of up to 5,000 levels.
 
 The `effective_set` row answers one query per node, every node of the tree,
-and prints the cost per query. A query folds its whole path, so on the
-balanced tree it costs about ten folds and on a chain levels/2 on average:
-the chain's queries cost levels²/2 folds in all, and run only on chains of
-up to 2,000 levels.
+and prints the cost per query. A query folds its whole path in one `_fold`
+call: about ten nodes on the balanced tree, and levels/2 on average on a
+chain, so the chain's queries fold levels²/2 nodes in all, and run only on
+chains of up to 2,000 levels.
 
 The XML rows time `serialize_entry` of the tree and `parse_entry` of the
 bytes it wrote, so the parser's cost per element has a number of its own;

@@ -521,45 +521,52 @@ def _rule_table(registry: FeatureClassRegistry) -> dict[FeatureName, list[tuple[
 
 
 def _fold(
-    state: _State, node: Node, depth: int, classify: Callable[[FeatureName], FeatureClass], table: dict,
+    state: _State, nodes: Sequence[Node], depth: int, classify: Callable[[FeatureName], FeatureClass], table: dict,
     doubled: list[tuple[Property, Property]] | None = None,
 ) -> list[int]:
-    """Fold one node's properties onto the state it inherits, in place, as
-    `effective_set` describes; return the keys of the node's local entries,
-    which its children drop. `classify` runs once per property; an overwrite
-    reads its feature's rules from `table` (a `_rule_table`). A doubled
-    overwriting feature at the node raises OverwriteConflict, or is skipped
-    and appended to `doubled` as (first, second) when that list is given."""
+    """Fold `nodes`, a chain from a node at `depth` down to a descendant, onto
+    the state its first node inherits, in place, as `effective_set` describes;
+    return the keys of the last node's local entries, which its children drop.
+    `classify` runs once per property, in order; ancestors' local entries are
+    then skipped. An overwrite reads its feature's rules from `table` (a `_rule_table`).
+    A doubled overwriting feature raises OverwriteConflict at the first node that
+    doubles it, or is skipped and appended to a given `doubled` as (first, second)."""
     local_keys: list[int] = []
-    seen_here: dict[FeatureName, Property] = {}
-    for index, prop in enumerate(node.properties):
-        feature = prop.feature
-        cls = classify(feature)
-        if cls is _LOCAL:
-            state[index] = (prop, depth, None)
-            local_keys.append(index)
-            continue
-        value = prop.value  # an atomic value's key is `_value_key`'s, worked out here
-        key = normalize("NFC", value.text).strip(" \t\n\r") if value.__class__ is Atomic else _value_key(value)
-        if cls is _CUMULATIVE:
-            state.setdefault((feature, prop.attrs, key), (prop, depth, key))
-            continue
-        if feature in seen_here:
-            if doubled is None:
-                raise OverwriteConflict(feature, seen_here[feature].value, prop.value)
-            doubled.append((seen_here[feature], prop))
-            continue
-        seen_here[feature] = prop
-        inherited = state.get(feature)
-        if inherited is not None:
-            if inherited[2] == key and inherited[0].attrs == prop.attrs:
-                continue  # value already in force; nothing is overwritten
-            del state[feature]
-        state[feature] = (prop, depth, key)
-        for dependent, required in table.get(feature, ()):
-            if key != required:
-                for blocked in [k for k, e in state.items() if e[0].feature == dependent and e[1] < depth]:
-                    del state[blocked]
+    endpoint = nodes[-1]
+    for node in nodes:
+        seen_here: dict[FeatureName, Property] | None = None  # made at the node's first overwrite
+        for index, prop in enumerate(node.properties):
+            feature = prop.feature
+            cls = classify(feature)
+            if cls is _LOCAL:
+                if node is endpoint:
+                    state[index] = (prop, depth, None)
+                    local_keys.append(index)
+                continue
+            value = prop.value  # an atomic value's key is `_value_key`'s, worked out here
+            key = normalize("NFC", value.text).strip(" \t\n\r") if value.__class__ is Atomic else _value_key(value)
+            if cls is _CUMULATIVE:
+                state.setdefault((feature, prop.attrs, key), (prop, depth, key))
+                continue
+            if seen_here is None:
+                seen_here = {}
+            elif feature in seen_here:
+                if doubled is None:
+                    raise OverwriteConflict(feature, seen_here[feature].value, prop.value)
+                doubled.append((seen_here[feature], prop))
+                continue
+            seen_here[feature] = prop
+            inherited = state.get(feature)
+            if inherited is not None:
+                if inherited[2] == key and inherited[0].attrs == prop.attrs:
+                    continue  # value already in force; nothing is overwritten
+                del state[feature]
+            state[feature] = (prop, depth, key)
+            for dependent, required in table.get(feature, ()):
+                if key != required:
+                    for blocked in [k for k, e in state.items() if e[0].feature == dependent and e[1] < depth]:
+                        del state[blocked]
+        depth += 1
     return local_keys
 
 
@@ -581,7 +588,7 @@ def _walk(root: Node, registry: FeatureClassRegistry) -> Iterator[tuple[list[int
         if depth:
             path[depth - 1:] = (index,)
         doubled: list[tuple[Property, Property]] = []
-        local_keys = _fold(state, node, depth, classify, table, doubled)
+        local_keys = _fold(state, (node,), depth, classify, table, doubled)
         yield path, node, state, doubled
         for key in local_keys:
             del state[key]
@@ -611,8 +618,10 @@ def effective_set(
 ) -> EffectiveFeatureSet:
     """Compute the feature set holding at the endpoint of `path`.
 
-    The walk visits root through endpoint and folds each node's properties in
-    document order:
+    The path is resolved in full first, so PathOutOfRange for a bad step comes
+    before OverwriteConflict for a node on the path that doubles up an
+    overwriting feature. Then one `_fold` call folds root through endpoint,
+    each node's properties in document order:
 
     * cumulative values append, with exact duplicates (feature, value, attrs)
       collapsed onto their first occurrence;
@@ -622,18 +631,9 @@ def effective_set(
       whose value differs from a dependency rule's required value evicts the
       inherited entries of that rule's dependent feature;
     * local values appear only when the contributing node is the endpoint.
-
-    Raises PathOutOfRange for an unresolvable path and OverwriteConflict when
-    a visited node doubles up an overwriting feature. The rules are read once
-    per call into a table keyed by governor; `classify` runs once per property.
     """
-    classify, table = registry.classify, _rule_table(registry)
     state: _State = {}
-    local_keys: list[int] = []
-    for depth, current in enumerate(_chain(root, path)):
-        for key in local_keys:
-            del state[key]
-        local_keys = _fold(state, current, depth, classify, table)
+    _fold(state, _chain(root, path), 0, registry.classify, _rule_table(registry))
     result = object.__new__(EffectiveFeatureSet)
     entries, depths, _ = zip(*state.values()) if state else ((), (), ())
     object.__setattr__(result, "entries", entries)

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import assume, given, settings
 
 from conftest import P, entries_as_tuples
 from oracle import oracle_dependency_violations, oracle_effective_set
-from treegen import all_paths, tree_with_interleaved_rules, tree_with_registry
+from treegen import ATTRS, VALUES, all_paths, tree_with_interleaved_rules, tree_with_registry
 
 from lexitree.model import (
     AltGroup,
@@ -356,6 +357,54 @@ def test_redundant_overwrite_keeps_position_and_does_not_block():
     assert child == [("pos", "n", (), 0), ("gen", "f", (), 0)]
 
 
+@pytest.mark.parametrize("path, step", [((1,), 0), ((0, 0), 1), ((0, 2, 0), 1)])
+def test_a_bad_step_below_a_doubled_orth_is_path_out_of_range(registry, path, step):
+    doubled = Node([P("orth", "one"), P("orth", "two")], children=[Node([P("orth", "three")])])
+    for tree in (doubled, Node([P("orth", "top")], children=[doubled])):
+        wanted = path if tree is doubled else (0, *path)
+        with pytest.raises(PathOutOfRange) as err:
+            effective_set(tree, wanted, registry)
+        assert err.value.step == step + (tree is not doubled)
+
+
+def test_a_doubled_feature_midway_raises_with_that_nodes_values_and_spares_its_siblings(registry):
+    middle = Node([P("pos", "noun"), P("def", "d"), P("gen", "f"), P("gen", "m")], children=[Node([P("ex", "e")])])
+    tree = Node(
+        [P("orth", "top"), P("gen", "n")],
+        children=[Node([P("pos", "verb")], children=[middle, Node([P("gen", "c")])])],
+    )
+    for path in ((0, 0), (0, 0, 0)):
+        with pytest.raises(OverwriteConflict) as err:
+            effective_set(tree, path, registry)
+        assert (err.value.feature, err.value.existing, err.value.new) == ("gen", Atomic("f"), Atomic("m"))
+    assert entries_as_tuples(effective_set(tree, (0, 1), registry)) == [
+        ("orth", "top", (), 0), ("pos", "verb", (), 1), ("gen", "c", (), 2),
+    ]
+    assert entries_as_tuples(effective_set(tree, (0,), registry)) == [("orth", "top", (), 0), ("pos", "verb", (), 1)]
+
+
+@pytest.mark.parametrize("rules", [[], [DependencyRule("ex", "pos", "noun")]])
+def test_only_the_endpoints_local_entries_appear_in_property_order(rules):
+    registry = FeatureClassRegistry(
+        {"pos": FeatureClass.OVERWRITING, "def": FeatureClass.CUMULATIVE, "ex": FeatureClass.LOCAL,
+         "xr": FeatureClass.LOCAL},
+        rules,
+    )
+    leaf = Node([P("xr", "l1"), P("def", "d2")])
+    child = Node([P("ex", "c1"), P("pos", "verb"), P("xr", "c2"), P("ex", "c3")], children=[leaf])
+    tree = Node([P("pos", "noun"), P("ex", "r1"), P("xr", "r2"), P("def", "d1")], children=[child])
+    expected = {
+        (): [("pos", "noun", (), 0), ("ex", "r1", (), 0), ("xr", "r2", (), 0), ("def", "d1", (), 0)],
+        (0,): [("def", "d1", (), 0), ("ex", "c1", (), 1), ("pos", "verb", (), 1), ("xr", "c2", (), 1),
+               ("ex", "c3", (), 1)],
+        (0, 0): [("def", "d1", (), 0), ("pos", "verb", (), 1), ("xr", "l1", (), 2), ("def", "d2", (), 2)],
+    }
+    for path, entries in expected.items():
+        eff = effective_set(tree, path, registry)
+        assert entries_as_tuples(eff) == entries
+        assert list(eff.items()) == oracle_effective_set(tree, path, registry)
+
+
 # ---------------------------------------------------------------------------
 # check_consistency
 
@@ -625,6 +674,36 @@ def test_blocked_dependents_never_survive(tree_and_registry):
             for prop, depth in eff.items():
                 if prop.feature == rule.dependent:
                     assert depth >= block_depth
+
+
+@given(tree_with_registry(), st.data())
+@settings(max_examples=60)
+def test_a_path_through_a_doubled_feature_raises_and_every_other_path_matches_the_oracle(tree_and_registry, data):
+    tree, registry = tree_and_registry
+    overwriting = [f for f, cls in registry.classes.items() if cls is FeatureClass.OVERWRITING]
+    assume(overwriting)
+    paths = all_paths(tree)
+    where = data.draw(st.sampled_from(paths))
+    feature = data.draw(st.sampled_from(overwriting))
+    node = resolve_path(tree, where)
+    props = list(node.properties)
+    first = next((i for i, p in enumerate(props) if p.feature == feature), None)
+    if first is None:
+        first = data.draw(st.integers(0, len(props)))
+        props.insert(first, Property(feature, Atomic(data.draw(st.sampled_from(VALUES)))))
+    second = data.draw(st.integers(first + 1, len(props)))
+    attrs = data.draw(st.sampled_from(((), ATTRS[:1])))
+    props.insert(second, Property(feature, Atomic(data.draw(st.sampled_from(VALUES))), attrs))
+    doubled = _replace_node(tree, where, Node(props, node.alt_groups, node.children))
+    for path in paths:
+        if path[:len(where)] == where:  # the path runs through the doubled node
+            with pytest.raises(OverwriteConflict) as err:
+                effective_set(doubled, path, registry)
+            assert (err.value.feature, err.value.existing, err.value.new) == (
+                feature, props[first].value, props[second].value
+            )
+        else:
+            assert list(effective_set(doubled, path, registry).items()) == oracle_effective_set(doubled, path, registry)
 
 
 @given(tree_with_registry())
