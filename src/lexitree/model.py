@@ -21,6 +21,7 @@ call concurrently.
 from __future__ import annotations
 
 import re
+from copyreg import _slotnames
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -86,10 +87,10 @@ class FeatureName(str):
 class _Value:
     """Base of the frozen value types: what `@dataclass(frozen=True)` gave them,
     without generating code at import. Field-wise `==`, `hash` and `repr` over
-    `_fields`, which the subclass also makes its `__slots__`. The one constructor
-    path is `__init__`, which takes the fields positionally, one value each; a
-    subclass checks or converts its arguments and hands them on. No assignment
-    after that."""
+    `_fields`, which the subclass makes its `__slots__`, with any private slots
+    more caching what the fields determine. The one constructor path is
+    `__init__`, which takes the fields positionally, one value each; a subclass
+    checks or converts its arguments and hands them on. No assignment after that."""
 
     __slots__ = ()
 
@@ -118,9 +119,11 @@ class _Value:
     __delattr__ = __setattr__
 
     def __getstate__(self) -> tuple:
-        # the (__dict__, slots) pair object.__reduce_ex__ takes from protocol 2 on;
-        # pickle protocols 0 and 1 read a slotted value's state only from here
-        return getattr(self, "__dict__", None), {n: getattr(self, n) for n in self._fields}
+        # the (__dict__, slots) pair object.__reduce_ex__ takes from protocol 2 on, with
+        # every set slot of the value's classes as it lists them; pickle protocols 0
+        # and 1 read a slotted value's state only from here
+        names = _slotnames(self.__class__)
+        return getattr(self, "__dict__", None), {n: getattr(self, n) for n in names if hasattr(self, n)}
 
     def __setstate__(self, state: tuple) -> None:
         # copy and pickle restore a value without calling its constructor
@@ -130,13 +133,16 @@ class _Value:
 
 
 class Atomic(_Value):
-    """A plain text feature value. Empty text is allowed (empty source element)."""
+    """A plain text feature value. Empty text is allowed (empty source element).
+    `_key` holds its comparison form, `normalize_text(text)`."""
 
-    __slots__ = _fields = ("text",)
+    _fields = ("text",)
+    __slots__ = (*_fields, "_key")
     text: str
 
     def __init__(self, text: str):
         super().__init__(text)
+        object.__setattr__(self, "_key", normalize_text(text))
 
 
 class Composite(_Value):
@@ -283,9 +289,12 @@ class DependencyRule(_Value):
 class FeatureClassRegistry(_Value):
     """Feature classifications plus dependency rules. A feature missing from
     `classes` falls back to `default_class`, local by default: the inert choice.
-    `unregistered_features` lists a tree's features that fall back."""
+    `unregistered_features` lists a tree's features that fall back. `_checks`
+    holds each rule with its normalized required value, and `_table` each
+    governor's (dependent, normalized required value) pairs, both in rule order."""
 
-    __slots__ = _fields = ("classes", "rules", "default_class")
+    _fields = ("classes", "rules", "default_class")
+    __slots__ = (*_fields, "_checks", "_table")
     classes: Mapping[FeatureName, FeatureClass]
     rules: tuple[DependencyRule, ...]
     default_class: FeatureClass
@@ -298,12 +307,17 @@ class FeatureClassRegistry(_Value):
     ):
         mapping = {FeatureName(f): c for f, c in dict(classes).items()}
         rules = tuple(rules)
-        for rule in rules:
+        checks = tuple((rule, normalize_text(rule.required_value)) for rule in rules)
+        table: dict[FeatureName, list[tuple[FeatureName, str]]] = {}
+        for rule, required in checks:
             if mapping.get(rule.governor) is not FeatureClass.OVERWRITING:
                 raise ValueError(
                     f"dependency rule governor {rule.governor!r} is not an overwriting feature"
                 )
+            table.setdefault(rule.governor, []).append((rule.dependent, required))
         super().__init__(mapping, rules, default_class)
+        object.__setattr__(self, "_checks", checks)  # `rules` is a tuple, so neither can go stale
+        object.__setattr__(self, "_table", table)
 
     def classify(self, feature: FeatureName | str) -> FeatureClass:
         """The class of `feature`, or `default_class`; a name that is not a FeatureName is folded first."""
@@ -399,7 +413,7 @@ def _value_key(value: FeatureValue) -> str | tuple:
     tuple of (feature, attrs, key) for a composite. Two values are equal
     exactly when their keys are."""
     if isinstance(value, Atomic):
-        return normalize_text(value.text)
+        return value._key
     return tuple((p.feature, p.attrs, _value_key(p.value)) for p in value.properties)
 
 
@@ -512,14 +526,6 @@ _State = dict[object, tuple[Property, int, object]]
 _LOCAL, _CUMULATIVE = FeatureClass.LOCAL, FeatureClass.CUMULATIVE  # an Enum member lookup is slow
 
 
-def _rule_table(registry: FeatureClassRegistry) -> dict[FeatureName, list[tuple[FeatureName, str]]]:
-    """Each governor's (dependent, normalized required value) pairs, in rule order."""
-    table: dict[FeatureName, list[tuple[FeatureName, str]]] = {}
-    for rule in registry.rules:
-        table.setdefault(rule.governor, []).append((rule.dependent, normalize_text(rule.required_value)))
-    return table
-
-
 def _fold(
     state: _State, nodes: Sequence[Node], depth: int, classify: Callable[[FeatureName], FeatureClass], table: dict,
     doubled: list[tuple[Property, Property]] | None = None,
@@ -528,7 +534,7 @@ def _fold(
     the state its first node inherits, in place, as `effective_set` describes;
     return the keys of the last node's local entries, which its children drop.
     `classify` runs once per property, in order; ancestors' local entries are
-    then skipped. An overwrite reads its feature's rules from `table` (a `_rule_table`).
+    then skipped. An overwrite reads its feature's rules from `table` (a registry's `_table`).
     A doubled overwriting feature raises OverwriteConflict at the first node that
     doubles it, or is skipped and appended to a given `doubled` as (first, second)."""
     local_keys: list[int] = []
@@ -543,8 +549,8 @@ def _fold(
                     state[index] = (prop, depth, None)
                     local_keys.append(index)
                 continue
-            value = prop.value  # an atomic value's key is `_value_key`'s, worked out here
-            key = normalize("NFC", value.text).strip(" \t\n\r") if value.__class__ is Atomic else _value_key(value)
+            value = prop.value
+            key = value._key if value.__class__ is Atomic else _value_key(value)
             if cls is _CUMULATIVE:
                 state.setdefault((feature, prop.attrs, key), (prop, depth, key))
                 continue
@@ -580,7 +586,7 @@ def _walk(root: Node, registry: FeatureClassRegistry) -> Iterator[tuple[list[int
     siblings get copies. `path` and `state` are updated in place and hold only
     until the walk resumes. Only `check_consistency` and `_effective_lists` read it.
     """
-    classify, table = registry.classify, _rule_table(registry)
+    classify, table = registry.classify, registry._table
     path: list[int] = []
     stack: list[tuple[int, int, Node, _State]] = [(0, 0, root, {})]
     while stack:
@@ -633,7 +639,7 @@ def effective_set(
     * local values appear only when the contributing node is the endpoint.
     """
     state: _State = {}
-    _fold(state, _chain(root, path), 0, registry.classify, _rule_table(registry))
+    _fold(state, _chain(root, path), 0, registry.classify, registry._table)
     result = object.__new__(EffectiveFeatureSet)
     entries, depths, _ = zip(*state.values()) if state else ((), (), ())
     object.__setattr__(result, "entries", entries)
@@ -651,12 +657,11 @@ def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violat
     because a rule blocked it, is not reported; there is no value to
     contradict. A node's violations come in rule order, then property order.
     """
-    checks = [(rule, normalize_text(rule.required_value)) for rule in registry.rules]
     violations: list[Violation] = []
     for path, node, state, doubled in _walk(root, registry):
         for first, second in doubled:
             violations.append(OverwriteViolation(tuple(path), second.feature, first.value, second.value))
-        for rule, required in checks:
+        for rule, required in registry._checks:
             governor = state.get(rule.governor)
             if governor is None or governor[2] == required:
                 continue

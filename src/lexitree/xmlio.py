@@ -13,7 +13,9 @@ gets none. Expat appends a feature element's text to the parse's one text list
 and keeps each distinct chunk of text directly in a structural element once,
 with no Python call; stray text restarts the parse, unbuffered, with a handler
 that warns of it in place. A value that arrives canonical is kept as it is.
-Values and nodes are built through their slots. Which element may
+Values and nodes are built through their slots; a value's comparison key
+(`model.normalize_text`) is its trimmed text itself when that is ASCII, and
+its NFC form otherwise. Which element may
 open inside which is one table, `_CONTENT`, that also holds the refusal for
 the rest. Parsing is lenient by default: unknown elements become atomic
 properties and misplaced ones are skipped, each with a warning, so real
@@ -210,7 +212,7 @@ class _Frame:
 
 # The parser fills the slots of values whose parts it and expat have checked.
 _new = object.__new__
-_set_text, _set_bundle = Atomic.text.__set__, Composite.properties.__set__
+_set_text, _set_key, _set_bundle = Atomic.text.__set__, Atomic._key.__set__, Composite.properties.__set__
 _set_feature, _set_value, _set_attrs = (getattr(Property, name).__set__ for name in Property._fields)
 _set_props, _set_groups, _set_children = (getattr(Node, name).__set__ for name in Node._fields)
 
@@ -336,6 +338,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
                 text = _collapse(text)
             value, prop = _new(Atomic), _new(Property)
             _set_text(value, text)
+            _set_key(value, text if text.isascii() else normalize("NFC", text))  # trimmed already
             _set_feature(prop, feature)
             _set_value(prop, value)
             _set_attrs(prop, carried)

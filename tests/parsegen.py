@@ -42,11 +42,12 @@ def tag_soup(pick, integer) -> bytes:
 
 
 # Pieces of a feature element's content, each with the character data XML makes of it
-# (line ends normalized to LF): spaces alone and in runs, XML whitespace literal and as
-# references, other spaces, text split by CDATA, comments and references, and runs
-# longer than the first pass's 8,192-character text buffer.
+# (line ends normalized to LF): a letter outside ASCII, precomposed and decomposed,
+# spaces alone and in runs, XML whitespace literal and as references, other spaces,
+# text split by CDATA, comments and references, and runs longer than the first
+# pass's 8,192-character text buffer.
 VALUE_PIECES = (
-    ("a", "a"), ("word", "word"), ("\u00e9", "\u00e9"), ("&amp;", "&"), ("&lt;", "<"),
+    ("a", "a"), ("word", "word"), ("\u00e9", "\u00e9"), ("e\u0301", "e\u0301"), ("&amp;", "&"), ("&lt;", "<"),
     (" ", " "), ("  ", "  "), ("\t", "\t"), ("\n", "\n"), ("\r", "\n"), ("\r\n", "\n"),
     ("&#32;", " "), ("&#9;", "\t"), ("&#10;", "\n"), ("&#13;", "\r"),
     ("\u00a0", "\u00a0"), ("\u2028", "\u2028"), ("\u0085", "\u0085"),

@@ -33,6 +33,7 @@ from lexitree.model import (
     unregistered_features,
     values_equal,
 )
+from lexitree.xmlio import parse_entry
 
 # ---------------------------------------------------------------------------
 # Types
@@ -403,6 +404,20 @@ def test_only_the_endpoints_local_entries_appear_in_property_order(rules):
         eff = effective_set(tree, path, registry)
         assert entries_as_tuples(eff) == entries
         assert list(eff.items()) == oracle_effective_set(tree, path, registry)
+
+
+@pytest.mark.parametrize("source", ["parsed", "built"])
+def test_one_value_in_two_normal_forms_across_nodes(source, registry):
+    # the child re-specifies the root's orth and repeats its def, each in the other normal form
+    if source == "parsed":
+        tree, _ = parse_entry("<struc><orth>cafe\u0301</orth><def>d\u00e9f</def>"
+                              "<struc><orth>caf\u00e9</orth><def>de\u0301f</def></struc></struc>".encode())
+    else:
+        child = Node([Property("orth", Atomic("caf\u00e9")), Property("def", Atomic("de\u0301f"))])
+        tree = Node([Property("orth", Atomic("  cafe\u0301 ")), Property("def", Atomic("d\u00e9f"))], children=[child])
+    eff = effective_set(tree, (0,), registry)
+    assert list(eff.items()) == oracle_effective_set(tree, (0,), registry)
+    assert list(eff.items()) == list(zip(tree.properties, (0, 0)))  # orth keeps depth 0; def collapses
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ with the default rules. For each document:
 (a) every command exits 0, 1 or 2 without raising, and leaves stdout empty
     when it exits non-zero;
 (b) a tree that `serialize_entry` accepts re-parses equal to itself, with no
-    diagnostic;
+    diagnostic; every atomic value of either parse carries the comparison key
+    `normalize_text` gives its text;
 (d) `traversals` and `table` of the `expand` output equal those of the
     `materialize` output: materialization is sound as the CLI runs it.
 
@@ -32,7 +33,9 @@ import parsegen
 from treegen import XML_PROFILE, random_registry, random_tree, rules_text
 
 from lexitree.cli import main
-from lexitree.model import DependencyRule, FeatureClassRegistry, LexitreeError, _tree_properties
+from lexitree.model import (
+    Composite, DependencyRule, FeatureClassRegistry, LexitreeError, _tree_properties, normalize_text,
+)
 from lexitree.xmlio import ParseError, parse_entry, serialize_entry
 
 # treegen's feature names -> base elements of the default profile
@@ -88,14 +91,24 @@ def run_every_command(doc: Path, with_rules: list, listings: list) -> dict:
     return outputs
 
 
+def check_keys(tree):
+    """Every atomic value, a `brack`'s contents included, carries the key of its text."""
+    for prop in _tree_properties(tree):
+        for each in prop.value.properties if isinstance(prop.value, Composite) else (prop,):
+            assert each.value._key == normalize_text(each.value.text), each
+
+
 def check_relations(document: bytes, rules: str | None):
     tree, _ = parse_entry(document)
+    check_keys(tree)
     try:
         written = serialize_entry(tree)
     except LexitreeError:
         pass
     else:
-        assert parse_entry(written) == (tree, [])  # (b)
+        again = parse_entry(written)
+        assert again == (tree, [])  # (b)
+        check_keys(again[0])
     columns = ",".join(sorted({str(p.feature) for p in _tree_properties(tree)})) or "orth"
     listings = [["traversals", "--full"], ["traversals", "--partial"], ["table", "--cols", columns],
                 ["table", "--cols", columns, "--format", "html"]]

@@ -7,6 +7,8 @@ import pickle
 
 import pytest
 
+from conftest import fixture_bytes
+
 from lexitree.model import (
     AltGroup,
     Atomic,
@@ -20,9 +22,12 @@ from lexitree.model import (
     Node,
     OverwriteViolation,
     Property,
+    effective_set,
+    partial_traversals,
 )
+from lexitree.rules import default_registry
 from lexitree.transform import TableSpec
-from lexitree.xmlio import EncodingProfile, ParseDiagnostic
+from lexitree.xmlio import EncodingProfile, ParseDiagnostic, parse_entry
 
 # (build an instance, its field names, its repr); each build makes a new, equal value
 CASES = [
@@ -98,10 +103,69 @@ def test_repr_is_the_field_wise_one(build, fields, expected):
     assert repr(build()) == expected
 
 
-@pytest.mark.parametrize("build, fields, expected", CASES, ids=IDS)
-def test_slots_are_the_fields(build, fields, expected):
-    # pickle and copy restore `_fields` and `__dict__`, so a slot outside the fields would be lost
-    assert build().__class__.__slots__ == fields
+class BareAtomic(Atomic):
+    __slots__ = ()
+
+
+class ExtraAtomic(Atomic):
+    __slots__ = ("extra",)
+
+    def __init__(self, text, extra):
+        super().__init__(text)
+        object.__setattr__(self, "extra", extra)
+
+
+# slotted subclasses: the slots they inherit, and one they add, travel too
+SUBCLASS_CASES = [
+    (lambda: BareAtomic("cafe\u0301"), ("text",), "BareAtomic(text='cafe\u0301')"),
+    (lambda: ExtraAtomic("a", ["x"]), ("text",), "ExtraAtomic(text='a')"),
+]
+
+
+def copies(value):
+    """A shallow copy, a deep copy and one unpickled copy per pickle protocol."""
+    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [copy.copy(value), copy.deepcopy(value), *pickled]
+
+
+def slot_values(value):
+    return {name: getattr(value, name) for cls in type(value).__mro__ for name in vars(cls).get("__slots__", ())}
+
+
+@pytest.mark.parametrize("build, fields, expected", CASES + SUBCLASS_CASES, ids=IDS + ["BareAtomic", "ExtraAtomic"])
+def test_copies_and_pickles_keep_every_slot(build, fields, expected):
+    # copy and pickle restore a value without calling its constructor, so each slot must travel in its state
+    value = build()
+    slots = slot_values(value)
+    assert set(fields) <= slots.keys()
+    for again in copies(value):
+        assert slot_values(again) == slots and again.__class__ is value.__class__ and repr(again) == expected
+
+
+def test_a_slot_left_unset_stays_unset_in_copies():
+    value = object.__new__(ExtraAtomic)
+    Atomic.__init__(value, " e\u0301")
+    for again in copies(value):
+        assert (again.text, again._key, hasattr(again, "extra")) == (" e\u0301", "\u00e9", False)
+
+
+def test_copies_and_pickles_keep_the_cached_key_and_rule_table():
+    atomic = Atomic(" cafe\u0301\n")
+    registry = FeatureClassRegistry({"pos": FeatureClass.OVERWRITING}, [DependencyRule("gen", "pos", " nou\u0308n ")])
+    assert atomic._key == "caf\u00e9" and registry._table == {"pos": [("gen", "no\u00fcn")]}
+    assert registry._checks == ((DependencyRule("gen", "pos", " nou\u0308n "), "no\u00fcn"),)
+    for again in copies(atomic):
+        assert again._key == atomic._key
+    for again in copies(registry):
+        assert (again._checks, again._table) == (registry._checks, registry._table)
+
+
+def test_effective_set_on_an_unpickled_parsed_tree_equals_the_original():
+    tree, _ = parse_entry(fixture_bytes("gendarme.xml"))
+    registry = default_registry()
+    for again, again_registry in zip(copies(tree), copies(registry)):
+        for path in partial_traversals(tree):
+            assert effective_set(again, path, again_registry) == effective_set(tree, path, registry)
 
 
 @pytest.mark.parametrize("build, fields, expected", CASES, ids=IDS)

@@ -14,7 +14,7 @@ from conftest import FIXTURES, P, fixture_bytes
 from treegen import XML_PROFILE, xml_trees
 
 from lexitree import xmlio
-from lexitree.model import AltGroup, Atomic, Composite, Node, Property
+from lexitree.model import AltGroup, Atomic, Composite, Node, Property, normalize_text
 from lexitree.transform import materialize_inheritance
 from lexitree.xmlio import (
     DEFAULT_PROFILE,
@@ -349,6 +349,15 @@ def test_value_text_is_its_character_data_trimmed_and_collapsed(values):
     for parse in (parse_entry, exact_parse):
         tree, diagnostics = parse(document.encode("utf-8"))
         assert ([p.value.text for p in tree.properties], diagnostics) == (expected, [])
+        assert [p.value._key for p in tree.properties] == [normalize_text(text) for text in expected]
+
+
+def test_a_decomposed_value_is_kept_as_it_arrived_and_keyed_by_its_nfc_form():
+    document = "<struc><orth>cafe\u0301</orth><def> e\u0301\u0301  x </def></struc>".encode()
+    for parse in (parse_entry, exact_parse):
+        tree, diagnostics = parse(document)
+        assert ([(p.value.text, p.value._key) for p in tree.properties], diagnostics) == (
+            [("cafe\u0301", "caf\u00e9"), ("e\u0301\u0301 x", "\u00e9\u0301 x")], [])
 
 
 def test_a_parse_leaves_no_reference_cycle():
