@@ -29,9 +29,9 @@ peak RSS: `lexitree materialize` on a chain of up to 1,000 levels (levels²/2
 properties), and `lexitree traversals` and `lexitree table --cols def` on a
 comb of as many levels, leaf first, whose every leaf lists or joins the
 `def` of each level above it (levels²/2 lines or values). Each command
-writes its output in chunks, so the peak stays near the size of what it
-holds (the materialized tree; each listed node's path and effective set, or
-each row) rather than that of the output.
+hands its output to stdout's buffer piece by piece, so the peak stays near
+the size of what it holds (the materialized tree; each listed node's path
+and effective set, or each row) rather than that of the output.
 
 The stray-text rows time `parse_entry` of the balanced tree's document,
 clean and with a comma after its first start tag or before its last end tag.

@@ -130,22 +130,15 @@ def _listing(props: Iterable[Property], lines: dict[int, str]) -> str:
                     for p in props])
 
 
-def _write_chunks(pieces: Callable[[], Iterable[str]], sep: str = "") -> None:
-    """Write the pieces that `pieces()` yields, joined by `sep`, to stdout in writes of about
-    64 K characters. Unless stdout encodes to UTF-8, `pieces()` runs twice: first to encode each
-    piece as stdout would, so text it cannot carry raises before the first write."""
+def _write_chunks(pieces: Callable[[], Iterable[str]]) -> None:
+    """Write the pieces that `pieces()` yields to stdout, whose buffer batches them. Unless stdout
+    encodes to UTF-8, `pieces()` runs twice: first to encode each piece as stdout would, so text
+    it cannot carry raises before the first write."""
     encoding = getattr(sys.stdout, "encoding", None)
     if encoding and codecs.lookup(encoding).name != "utf-8":
         for piece in pieces():
             piece.encode(encoding, sys.stdout.errors)
-    chunk, size = [], 0
-    for piece in pieces():
-        if size >= 1 << 16:
-            sys.stdout.write(sep.join(chunk) + sep)
-            chunk, size = [], 0
-        chunk.append(piece)
-        size += len(piece)
-    sys.stdout.write(sep.join(chunk))
+    sys.stdout.writelines(pieces())
 
 
 def _cmd_validate(args, registry: FeatureClassRegistry) -> int:
@@ -169,12 +162,13 @@ def _cmd_traversals(args, registry: FeatureClassRegistry) -> int:
     listed = [(format_path(path) if path else "", props) for path, _, props
               in _effective_lists(_read_tree(args.file, registry), registry, leaves_only=not args.partial)]
     lines: dict[int, str] = {}  # each property's line is formatted once, even if the blocks are built twice
-    _write_chunks(lambda: (f"{path}\n{_listing(props, lines)}" for path, props in listed), "\n")
+    ends = ["\n"] * (len(listed) - 1) + [""]  # a blank line ends every block but the last
+    _write_chunks(lambda: (f"{path}\n{_listing(props, lines)}{end}" for (path, props), end in zip(listed, ends)))
     return OK
 
 
 def _cmd_expand(args, registry: None) -> int:
-    # every property is checked before the first chunk, so a refused tree leaves stdout empty
+    # every property is checked before the first write, so a refused tree leaves stdout empty
     sys.stdout.buffer.writelines(serialize_chunks(expand_alternatives(_read_tree(args.file, None))))
     return OK
 

@@ -132,7 +132,7 @@ def extract_table(root: Node, spec: TableSpec, registry: FeatureClassRegistry) -
 
 def render_table(spec: TableSpec, rows: list[tuple[str, ...]]) -> str:
     """The header and rows as tab-separated lines, or as an HTML table: the
-    join of `_table_lines`, which `lexitree table` writes in chunks instead."""
+    join of `_table_lines`, which `lexitree table` writes piece by piece instead."""
     return "".join(_table_lines(spec, rows))
 
 

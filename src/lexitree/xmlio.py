@@ -24,13 +24,15 @@ profile they abort the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
 wrapper, two-space indentation per level up to 64 levels, one element per
-line, and NFC-normalized text. Parsing that form yields the original tree;
-trees that came from a parse re-serialize byte-identically. A value that would
+line, and NFC-normalized text. While every value is NFC, parsing that form
+yields the original tree and a parsed tree re-serializes byte-identically.
+The parser keeps a value as it arrived, so a parsed `cafe` and U+0301 is
+written back as `caf` and U+00E9, another text. A value that would
 not read back as itself (a character outside XML, or XML whitespace other than
 single spaces between words) is refused. The writer makes two passes. The
 first builds and checks each distinct property's element once, as UTF-8, so a
-refusal comes before any output; the second yields the document in chunks of
-about a thousand lines (`serialize_chunks`), so a caller can write it without
+refusal comes before any output; the second yields the document one node or
+closing tag at a time (`serialize_chunks`), so a caller can write it without
 holding it whole. Two caveats follow from the encoding itself: adjacent
 alternative groups cannot be told apart (they re-parse as one group), and
 `gender` is accepted on input as an alias that canonicalizes to `gen`. Neither
@@ -436,7 +438,6 @@ _MAX_INDENT = 64
 _INDENTS = tuple(b"\n" + b"  " * min(level, _MAX_INDENT) for level in range(_MAX_INDENT + 4))
 _OPEN, _CLOSE, _EMPTY, _ALT, _END_ALT = (
     tuple(indent + tag for indent in _INDENTS) for tag in (b"<struc>", b"</struc>", b"<struc/>", b"<alt>", b"</alt>"))
-_CHUNK_LINES = 1024  # a chunk ends before the first node or closing tag past this many lines
 
 
 def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> bytes:
@@ -451,9 +452,9 @@ def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> b
 
 
 def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> Iterator[bytes]:
-    """`serialize_entry`'s document as UTF-8 chunks of about `_CHUNK_LINES` lines. Every
-    property is built and checked before this returns, so a tree it cannot write raises
-    SerializeError before any chunk exists."""
+    """`serialize_entry`'s document as UTF-8 pieces: one per node, holding its properties and
+    alternatives, and one per closing tag. Every property is built and checked before this
+    returns, so a tree it cannot write raises SerializeError before any piece exists."""
     # Built once per call: each property's element by id (nodes share inherited Property objects,
     # which the tree keeps alive while it is written), each feature's tags, each attribute tuple's
     # string, the attribute names checked. A brack that holds properties spans lines, so pass 2
@@ -516,25 +517,20 @@ def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> 
         return b"".join((f"<brack{attr_strings[prop.attrs]}>".encode(), indent, inner, _INDENTS[level], b"</brack>"))
 
     def chunks() -> Iterator[bytes]:  # pass 2: each line is one of _INDENTS, then its element
-        pieces = [b'<?xml version="1.0" encoding="utf-8"?>\n<dict>']
-        lines = 0
+        yield b'<?xml version="1.0" encoding="utf-8"?>\n<dict>'
         # pending work, last first: a (node, level) to open or a closing tag to write
         stack: list[tuple[Node, int] | bytes] = [(root, 1)]
         while stack:
-            if lines >= _CHUNK_LINES:
-                yield b"".join(pieces)
-                pieces, lines = [], 0
             item = stack.pop()
             if type(item) is bytes:
-                pieces.append(item)
+                yield item
                 continue
             node, level = item
             props, groups, children = node.properties, node.alt_groups, node.children
-            lines += 2 + len(props)
             if not (props or groups or children):
-                pieces.append(_EMPTY[level])
+                yield _EMPTY[level]
                 continue
-            pieces.append(_OPEN[level])
+            pieces = [_OPEN[level]]
             if props:  # a shared property's element is read here, with no call
                 indent = _INDENTS[level + 1]
                 pieces += indent, indent.join([get(id(p)) or brack(p, level + 1) for p in props])
@@ -543,7 +539,6 @@ def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> 
                 for alternative in group.alternatives:
                     inner = indent.join([get(id(p)) or brack(p, level + 2) for p in alternative])
                     pieces += _ALT[level + 1], indent, inner, _END_ALT[level + 1]
-                    lines += 2 + len(alternative)
             if children:
                 stack.append(_CLOSE[level])
                 below = min(level + 1, _MAX_INDENT)
@@ -551,7 +546,7 @@ def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> 
                     stack.append((child, below))
             else:
                 pieces.append(_CLOSE[level])
-        pieces.append(b"\n</dict>\n")
-        yield b"".join(pieces)
+            yield b"".join(pieces)
+        yield b"\n</dict>\n"
 
     return chunks()

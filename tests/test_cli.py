@@ -542,27 +542,68 @@ def subprocess_env(**extra: str) -> dict[str, str]:
     return env
 
 
-@pytest.mark.parametrize("invocation", [
-    ["traversals"], ["traversals", "--partial"],
-    ["table", "--cols", "orth,pron"], ["table", "--cols", "orth,pron", "--format", "html"],
+@pytest.mark.parametrize(("invocation", "positions"), [
+    (["traversals"], (21, 18)), (["traversals", "--partial"], (21, 18)),
+    (["table", "--cols", "orth,pron"], (2, 2)), (["table", "--cols", "orth,pron", "--format", "html"], (30, 30)),
 ], ids=["traversals", "traversals-partial", "table", "table-html"])
-def test_a_value_stdout_cannot_encode_leaves_stdout_empty(tmp_path, invocation):
-    # The last leaf's value comes after several writes' worth of output that latin-1 carries.
+def test_a_value_stdout_cannot_encode_leaves_stdout_empty(tmp_path, invocation, positions):
+    # The value is in the last leaf, after several writes' worth of output that latin-1 carries, or in the
+    # first. The error's position is counted within the value's block or table line.
     env = subprocess_env(PYTHONIOENCODING="latin-1")
     command, *options = invocation
-    for value, carried in (("é", True), ("ʒ", False)):
-        doc = tmp_path / "entry.xml"
-        doc.write_text(f"{MANY_LEAVES}<struc><pron>{value}</pron></struc></struc>", encoding="utf-8")
-        argv = [command, str(doc), *options]
-        proc = subprocess.run([sys.executable, "-m", "lexitree", *argv], capture_output=True, env=env)
-        if carried:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main(argv) == 0
-            assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.getvalue().encode("latin-1"), b"")
-        else:
-            assert (proc.returncode, proc.stdout) == (1, b"")
-            assert proc.stderr.startswith(b"lexitree: 'latin-1' codec can't encode character '\\u0292' in position ")
+    doc = tmp_path / "entry.xml"
+    argv = [command, str(doc), *options]
+    for leaf, position in zip(("last", "first"), positions):
+        for value, carried in (("é", True), ("ʒ", False)):
+            pron = f"<struc><pron>{value}</pron></struc>"
+            text = MANY_LEAVES + pron if leaf == "last" else MANY_LEAVES.replace("</orth>", "</orth>" + pron, 1)
+            doc.write_text(text + "</struc>", encoding="utf-8")
+            proc = subprocess.run([sys.executable, "-m", "lexitree", *argv], capture_output=True, env=env)
+            if carried:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(argv) == 0
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.getvalue().encode("latin-1"), b"")
+            else:
+                assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (1, b"", (
+                    f"lexitree: 'latin-1' codec can't encode character '\\u0292' in position {position}: "
+                    "ordinal not in range(256)\n")), leaf
+
+
+class RecordingSink(io.RawIOBase):
+    """A raw stream that keeps each write it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[bytes] = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+# a root with 20 cumulative defs over 2,000 leaves: each listing is about a megabyte
+WIDE = ("<struc><orth>x</orth>" + "".join(f"<def>{'d' * 16}{j}</def>" for j in range(20))
+        + "".join(f"<struc><orth>leaf {i}</orth></struc>" for i in range(2000)) + "</struc>")
+
+
+@pytest.mark.parametrize("argv", [
+    ["traversals"], ["traversals", "--partial"], ["table", "--cols", "orth,def"], ["expand"], ["materialize"],
+], ids=["traversals", "traversals-partial", "table", "expand", "materialize"])
+def test_stdouts_buffer_writes_each_command_in_pieces(capsys, tmp_path, argv):
+    # stdout as a process has it: text over an 8 KB buffer over the descriptor
+    doc = tmp_path / "wide.xml"
+    doc.write_text(WIDE, encoding="utf-8")
+    command, *options = argv
+    sink = RecordingSink()
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BufferedWriter(sink), encoding="utf-8", newline="\n")):
+        assert main([command, str(doc), *options]) == 0
+    output = b"".join(sink.writes)
+    assert run(capsys, command, doc, *options) == (0, output.decode("utf-8"), "")
+    assert max(map(len, sink.writes)) <= len(output) / 4
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

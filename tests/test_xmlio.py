@@ -585,7 +585,7 @@ def test_a_refusal_in_the_last_node_comes_before_any_chunk():
 
 
 def test_writing_a_materialized_chain_holds_a_fraction_of_it(registry):
-    # counts allocations, not time: the writer holds one chunk of the document at a time
+    # counts allocations, not time: the writer holds one node's piece of the document at a time
     tree = materialize_inheritance(_chain(200, ("def", "ex")), registry)  # def is cumulative
     size = len(serialize_entry(tree))
     with open(os.devnull, "wb") as sink:
