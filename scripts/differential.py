@@ -29,17 +29,31 @@ makes the parser start again with its exact pass; and a feature value of
 each one and each two of `tests/parsegen.py`'s value pieces, which reach
 both sides of the parser's check for text that is already canonical.
 
-The script lists each case that differs, with the run that differed, prints
-a summary line, and exits 1 if any case differed or if a case list is shorter
-than its floor (`MIN_COMMAND_RUNS`, `MIN_PARSES`), so that cases cannot drop
-out unnoticed. A worker that fails, as when `main()` raises, ends it with the
-worker's traceback. It needs only the standard library and git, and takes
-about a minute on two cores.
+Each case has a stable id: `command:ARGV`, with the directory of the
+generated documents written `<inputs>`, or `parse:PART:INDEX`, where PART is
+`soup`, `strict-soup`, `document` or `value`. `scripts/differences.txt` names
+the differences a change intends, one line each: a case id, then a digest of
+REV's report and one of this checkout's. The file applies only when it
+differs from REV's copy (`git show REV:scripts/differences.txt`; an absent
+file is empty), so a line covers one change and cannot mask a later one. A
+listed case passes only when REV's report and every run of this checkout have
+its digests.
 
-Usage: python scripts/differential.py --base REV [INTERPRETER ...]
+The script lists each case that differs unexpectedly, with the run that
+differed, and each line of the file that matches no difference, prints a
+summary line, and exits 1 if any case differed unexpectedly, if a line went
+unused, or if a case list is shorter than its floor (`MIN_COMMAND_RUNS`,
+`MIN_PARSES`), so that cases cannot drop out unnoticed. With
+`--write-differences` it prints that report to stderr and, to stdout, the
+file's lines for every case that differs now. A worker that fails, as when
+`main()` raises, ends it with the worker's traceback. It needs only the
+standard library and git, and takes about a minute on two cores.
+
+Usage: python scripts/differential.py --base REV [--write-differences] [INTERPRETER ...]
 """
 
 import argparse
+import hashlib
 import os
 import pickle
 import random
@@ -51,6 +65,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
+DIFFERENCES = "scripts/differences.txt"
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 import generate  # noqa: E402
@@ -131,24 +146,47 @@ def with_stray_text(document: bytes) -> list:
 
 
 def parse_sweep(paths: list) -> list:
-    """(label, document, strict) for every parse that the two sides compare."""
-    sweep = []
+    """(case id, label, document, strict) for every parse that the two sides compare."""
+    parts = {"soup": [], "strict-soup": [], "document": [], "value": []}
     rng = random.Random(SOUP_SEED)
     for i in range(SOUP_DOCUMENTS):
         document = parsegen.tag_soup(rng.choice, rng.randint)
-        sweep += [(f"tag soup {i}{' (strict)' * strict} {document!r:.80}", document, strict) for strict in (0, 1)]
+        parts["soup"].append((f"tag soup {i} {document!r:.80}", document, 0))
+        parts["strict-soup"].append((f"tag soup {i} (strict) {document!r:.80}", document, 1))
     for path in paths:
-        sweep += [(f"{path.name}{label}", variant, 0) for label, variant in with_stray_text(path.read_bytes())]
+        parts["document"] += [(f"{path.name}{label}", doc, 0) for label, doc in with_stray_text(path.read_bytes())]
     for pieces in [*product(parsegen.VALUE_PIECES), *product(parsegen.VALUE_PIECES, repeat=2)]:
         value = "".join(markup for markup, _ in pieces)
-        sweep.append((f"value {value!r:.80}", f"<struc><def>{value}</def><orth>a b</orth></struc>".encode(), 0))
-    return sweep
+        document = f"<struc><def>{value}</def><orth>a b</orth></struc>".encode()
+        parts["value"].append((f"value {value!r:.80}", document, 0))
+    return [(f"parse:{part}:{index}", *case) for part, cases in parts.items() for index, case in enumerate(cases)]
+
+
+def read_differences(rev: str) -> dict:
+    """The intended differences, case id -> (REV's digest, this checkout's), when the file differs from REV's copy."""
+    path = ROOT / DIFFERENCES
+    ours = path.read_text(encoding="utf-8") if path.exists() else ""
+    theirs = subprocess.run(["git", "-C", str(ROOT), "show", f"{rev}:{DIFFERENCES}"], capture_output=True, text=True)
+    if ours == (theirs.stdout if theirs.returncode == 0 else ""):
+        return {}
+    lines = [line.rsplit(" ", 2) for line in ours.splitlines() if line.strip()]
+    bad = [" ".join(line) for line in lines if len(line) != 3 or not line[0].startswith(("command:", "parse:"))]
+    if bad:
+        raise SystemExit(f"{DIFFERENCES}: not a line of 'CASE REV-DIGEST DIGEST': {bad[0]!r}")
+    return {case: (want, got) for case, want, got in lines}
+
+
+def digest(report, inputs: bytes) -> str:
+    """A digest of a report with the generated documents' directory written `<inputs>`, as in case ids."""
+    if isinstance(report, tuple):
+        report = tuple(part.replace(inputs, b"<inputs>") if isinstance(part, bytes) else part for part in report)
+    return hashlib.sha256(repr(report).encode()).hexdigest()[:16]
 
 
 def side_reports(src: Path, sweep: list, argvs: list) -> tuple:
     """One checkout's report on each parse of the sweep and its (stdout, stderr, exit code) for each argv."""
     done = subprocess.run([sys.executable, "-c", WORKER], env=dict(os.environ, PYTHONPATH=str(src)),
-                          input=pickle.dumps(([(document, strict) for _, document, strict in sweep], argvs)),
+                          input=pickle.dumps(([(document, strict) for _, _, document, strict in sweep], argvs)),
                           capture_output=True)
     if done.returncode:
         raise SystemExit(f"the worker failed with {src}:\n{done.stderr.decode(errors='replace')}")
@@ -171,9 +209,12 @@ def difference(a, b) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, metavar="REV", help="the commit to compare with")
+    parser.add_argument("--write-differences", action="store_true",
+                        help=f"print the {DIFFERENCES} lines for the current differences, and the report to stderr")
     parser.add_argument("interpreters", nargs="*", default=[sys.executable], metavar="INTERPRETER",
                         help="an interpreter to run this checkout under (default: the running one)")
     args = parser.parse_args()
+    report = sys.stderr if args.write_differences else sys.stdout
     os.environ.pop("LEXITREE_RULES", None)
     os.chdir(ROOT)  # the workers then read the relative fixture paths that the processes print
     versions = {interpreter: subprocess.run([interpreter, "-c", "import sys; print(sys.version.split()[0])"],
@@ -185,6 +226,7 @@ def main() -> int:
                           ).returncode:
             return 2  # git has said why
         try:
+            listed = read_differences(args.base)
             inputs = Path(tmp) / "inputs"
             inputs.mkdir()
             fixtures, generated = sorted(FIXTURES.glob("*.xml")), generated_documents(inputs)
@@ -199,35 +241,49 @@ def main() -> int:
             want_parses, want_runs = side_reports(base / "src", sweep, argvs)
             parses, in_process = side_reports(ROOT / "src", sweep, argvs)
             env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
-            differed = 0
+            placeholder = str(inputs).encode()
+            # (case id, label, how it differs, REV's digest, the digest of each of this checkout's runs)
+            differing = []
             for argv, want, got in zip(argvs, want_runs, in_process):
                 runs = [("run in process", got)]
                 runs += [(f"run under {interpreter} ({version})", in_subprocess(interpreter, argv, env))
                          for interpreter, version in versions.items()]
-                bad = [(run, got) for run, got in runs if got != want]
-                if bad:
-                    differed += 1
-                    print(f"differs on: lexitree {' '.join(argv)}")
-                for run, got in bad:
-                    for name, a, b in zip(("stdout", "stderr", "exit code"), want, got):
-                        if a != b:
-                            print(f"  {name} of {args.base} against this checkout's {run}, {difference(a, b)}")
-            parses_differed = 0
-            for (label, _, _), want, got in zip(sweep, want_parses, parses):
+                if any(got != want for _, got in runs):
+                    how = [f"  {name} of {args.base} against this checkout's {run}, {difference(a, b)}"
+                           for run, got in runs for name, a, b in zip(("stdout", "stderr", "exit code"), want, got)
+                           if a != b]
+                    differing.append(("command:" + " ".join(argv).replace(str(inputs), "<inputs>"),
+                                      f"lexitree {' '.join(argv)}", how, digest(want, placeholder),
+                                      [digest(got, placeholder) for _, got in runs]))
+            command_differences = len(differing)
+            for (case, label, _, _), want, got in zip(sweep, want_parses, parses):
                 if got != want:
-                    parses_differed += 1
-                    print(f"differs on parse: {label}")
-                    print(f"  report of {args.base} against this checkout's, {difference(want, got)}")
+                    how = [f"  report of {args.base} against this checkout's, {difference(want, got)}"]
+                    differing.append((case, f"parse {label}", how, digest(want, placeholder),
+                                      [digest(got, placeholder)]))
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)], check=True)
+    unexpected = 0
+    for case, label, how, want, got in differing:
+        if listed.get(case) != (want, got[0]) or len(set(got)) > 1:
+            unexpected += 1
+            print(f"differs on {case}: {label}", *how, sep="\n", file=report)
+        else:
+            del listed[case]
+    for case, (want, got) in listed.items():
+        print(f"{DIFFERENCES} names a difference that did not occur: {case} {want} {got}", file=report)
     short = [f"{len(cases)} {name}, fewer than {floor}" for name, cases, floor in
              (("command runs", argvs, MIN_COMMAND_RUNS), ("parses", sweep, MIN_PARSES)) if len(cases) < floor]
     if short:
-        print("cases were dropped:", "; ".join(short))
-    total, matched = len(argvs) + len(sweep), len(argvs) - differed + len(sweep) - parses_differed
-    print(f"{matched} of {total} cases match {args.base}: {len(argvs) - differed} of {len(argvs)} command runs, "
-          f"{len(sweep) - parses_differed} of {len(sweep)} parses")
-    return 1 if differed or parses_differed or short else 0
+        print("cases were dropped:", "; ".join(short), file=report)
+    total, parse_differences = len(argvs) + len(sweep), len(differing) - command_differences
+    print(f"{total - len(differing)} of {total} cases match {args.base}, {len(differing) - unexpected} differ as "
+          f"expected and {unexpected} unexpectedly: {len(argvs) - command_differences} of {len(argvs)} command runs, "
+          f"{len(sweep) - parse_differences} of {len(sweep)} parses match", file=report)
+    if args.write_differences:
+        for case, _, _, want, got in differing:
+            print(case, want, got[0])
+    return 1 if unexpected or listed or short else 0
 
 
 if __name__ == "__main__":

@@ -134,15 +134,13 @@ class _Value:
 
 class Atomic(_Value):
     """A plain text feature value. Empty text is allowed (empty source element).
-    `_key` holds its comparison form, `normalize_text(text)`."""
+    It holds `normalize_text(text)`, the form it compares by."""
 
-    _fields = ("text",)
-    __slots__ = (*_fields, "_key")
+    __slots__ = _fields = ("text",)
     text: str
 
     def __init__(self, text: str):
-        super().__init__(text)
-        object.__setattr__(self, "_key", normalize_text(text))
+        super().__init__(normalize_text(text))
 
 
 class Composite(_Value):
@@ -403,17 +401,17 @@ Violation = Union[OverwriteViolation, DependencyViolation]
 # Value comparison
 
 def normalize_text(text: str) -> str:
-    """NFC-normalize and trim XML whitespace (space, tab, CR, LF), as the parser
-    does; U+00A0 and the other spaces are text. The comparison form for atomic values."""
+    """An `Atomic`'s text and a rule value's comparison form: NFC, trimmed of XML
+    whitespace (space, tab, CR, LF); U+00A0 and the other spaces are text."""
     return normalize("NFC", text).strip(" \t\n\r")
 
 
 def _value_key(value: FeatureValue) -> str | tuple:
-    """The comparison form of a value: normalized text for an atomic value, a
+    """The comparison form of a value: the text of an atomic value, a
     tuple of (feature, attrs, key) for a composite. Two values are equal
     exactly when their keys are."""
     if isinstance(value, Atomic):
-        return value._key
+        return value.text
     return tuple((p.feature, p.attrs, _value_key(p.value)) for p in value.properties)
 
 
@@ -550,7 +548,7 @@ def _fold(
                     local_keys.append(index)
                 continue
             value = prop.value
-            key = value._key if value.__class__ is Atomic else _value_key(value)
+            key = value.text if value.__class__ is Atomic else _value_key(value)
             if cls is _CUMULATIVE:
                 state.setdefault((feature, prop.attrs, key), (prop, depth, key))
                 continue

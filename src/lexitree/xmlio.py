@@ -9,34 +9,33 @@ its text is the value and its XML attributes are carried verbatim.
 
 Parsing is one pass of expat callbacks, with text buffered so that each run
 arrives as one chunk. Each structural element gets a frame; a feature element
-gets none. Expat appends a feature element's text to the parse's one text list
-and keeps each distinct chunk of text directly in a structural element once,
-with no Python call; stray text restarts the parse, unbuffered, with a handler
-that warns of it in place. A value that arrives canonical is kept as it is.
-Values and nodes are built through their slots; a value's comparison key
-(`model.normalize_text`) is its trimmed text itself when that is ASCII, and
-its NFC form otherwise. Which element may
-open inside which is one table, `_CONTENT`, that also holds the refusal for
-the rest. Parsing is lenient by default: unknown elements become atomic
-properties and misplaced ones are skipped, each with a warning, so real
-dictionary data with extra tags degrades gracefully. With `strict` set on the
-profile they abort the parse instead.
+gets none. Expat appends a feature element's text to the parse's one text
+list and keeps each distinct chunk of text directly in a structural element
+once, with no Python call; stray text restarts the parse, unbuffered, with a
+handler that warns of it in place. Values and nodes are built through their
+slots. A value's text is its character data trimmed, with each run of XML
+whitespace collapsed to one space, and then in NFC unless it is ASCII: the
+text `model.normalize_text` gives, so a parsed value is what `Atomic` would
+hold. Which element may open inside which is one table, `_CONTENT`, that also
+holds the refusal for the rest. Parsing is lenient by default: unknown
+elements become atomic properties and misplaced ones are skipped, each with a
+warning, so real dictionary data with extra tags degrades gracefully. With
+`strict` set on the profile they abort the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
 wrapper, two-space indentation per level up to 64 levels, one element per
-line, and NFC-normalized text. While every value is NFC, parsing that form
-yields the original tree and a parsed tree re-serializes byte-identically.
-The parser keeps a value as it arrived, so a parsed `cafe` and U+0301 is
-written back as `caf` and U+00E9, another text. A value that would
-not read back as itself (a character outside XML, or XML whitespace other than
-single spaces between words) is refused. The writer makes two passes. The
-first builds and checks each distinct property's element once, as UTF-8, so a
-refusal comes before any output; the second yields the document one node or
-closing tag at a time (`serialize_chunks`), so a caller can write it without
-holding it whole. Two caveats follow from the encoding itself: adjacent
-alternative groups cannot be told apart (they re-parse as one group), and
-`gender` is accepted on input as an alias that canonicalizes to `gen`. Neither
-parsing nor writing recurses, so nesting depth is bounded by memory alone.
+line, and each value's text as it is, which is NFC. Parsing that form yields
+the original tree, and a parsed tree re-serializes byte-identically. A value
+that would not read back as itself (a character outside XML, or XML
+whitespace other than single spaces between words) is refused. The writer
+makes two passes. The first builds and checks each distinct property's
+element once, as UTF-8, so a refusal comes before any output; the second
+yields the document one node or closing tag at a time (`serialize_chunks`),
+so a caller can write it without holding it whole. Two caveats follow from
+the encoding itself: adjacent alternative groups cannot be told apart (they
+re-parse as one group), and `gender` is accepted on input as an alias that
+canonicalizes to `gen`. Neither parsing nor writing recurses, so nesting
+depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -214,7 +213,7 @@ class _Frame:
 
 # The parser fills the slots of values whose parts it and expat have checked.
 _new = object.__new__
-_set_text, _set_key, _set_bundle = Atomic.text.__set__, Atomic._key.__set__, Composite.properties.__set__
+_set_text, _set_bundle = Atomic.text.__set__, Composite.properties.__set__
 _set_feature, _set_value, _set_attrs = (getattr(Property, name).__set__ for name in Property._fields)
 _set_props, _set_groups, _set_children = (getattr(Node, name).__set__ for name in Node._fields)
 
@@ -335,12 +334,11 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
                 return
             text = chunks[0] if len(chunks) == 1 else "".join(chunks)
             chunks.clear()
-            # canonical text (printable, spaces single and inside) is kept as it arrived
+            # canonical text (printable, spaces single and inside) needs no collapsing
             if not text.isprintable() or "  " in f" {text} ":
                 text = _collapse(text)
             value, prop = _new(Atomic), _new(Property)
-            _set_text(value, text)
-            _set_key(value, text if text.isascii() else normalize("NFC", text))  # trimmed already
+            _set_text(value, text if text.isascii() else normalize("NFC", text))  # normalize_text(text): trimmed already
             _set_feature(prop, feature)
             _set_value(prop, value)
             _set_attrs(prop, carried)
@@ -494,7 +492,7 @@ def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> 
             if feature not in profile.base_elements:
                 raise UnknownFeature(feature)
             tag = tags[feature] = f"<{feature}", f"</{feature}>"
-        text = normalize("NFC", value.text)
+        text = value.text
         # printable text has no XML whitespace but the space: it reads back unless a space leads, trails or doubles
         if not text.isprintable() or "  " in f" {text} ":
             if not _carried(text):

@@ -91,16 +91,16 @@ def run_every_command(doc: Path, with_rules: list, listings: list) -> dict:
     return outputs
 
 
-def check_keys(tree):
-    """Every atomic value, a `brack`'s contents included, carries the key of its text."""
+def check_canonical_text(tree):
+    """Every atomic value, a `brack`'s contents included, holds its text in normalized form."""
     for prop in _tree_properties(tree):
         for each in prop.value.properties if isinstance(prop.value, Composite) else (prop,):
-            assert each.value._key == normalize_text(each.value.text), each
+            assert each.value.text == normalize_text(each.value.text), each
 
 
 def check_relations(document: bytes, rules: str | None):
     tree, _ = parse_entry(document)
-    check_keys(tree)
+    check_canonical_text(tree)
     try:
         written = serialize_entry(tree)
     except LexitreeError:
@@ -108,7 +108,7 @@ def check_relations(document: bytes, rules: str | None):
     else:
         again = parse_entry(written)
         assert again == (tree, [])  # (b)
-        check_keys(again[0])
+        check_canonical_text(again[0])
     columns = ",".join(sorted({str(p.feature) for p in _tree_properties(tree)})) or "orth"
     listings = [["traversals", "--full"], ["traversals", "--partial"], ["table", "--cols", columns],
                 ["table", "--cols", columns, "--format", "html"]]
