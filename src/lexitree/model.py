@@ -134,7 +134,7 @@ class _Value:
 
 class Atomic(_Value):
     """A plain text feature value. Empty text is allowed (empty source element).
-    It holds `normalize_text(text)`, the form it compares by."""
+    It holds `normalize_text(text)`: what it compares by and its XML reads back as."""
 
     __slots__ = _fields = ("text",)
     text: str
@@ -273,6 +273,7 @@ class DependencyRule(_Value):
 
     Governors must be overwriting features; the rule blocks inherited values
     of the dependent the moment the governor is overwritten to anything else.
+    `required_value` is held canonical (`normalize_text`), as an `Atomic`'s text is.
     """
 
     __slots__ = _fields = ("dependent", "governor", "required_value")
@@ -281,18 +282,17 @@ class DependencyRule(_Value):
     required_value: str
 
     def __init__(self, dependent: FeatureName | str, governor: FeatureName | str, required_value: str):
-        super().__init__(FeatureName(dependent), FeatureName(governor), required_value)
+        super().__init__(FeatureName(dependent), FeatureName(governor), normalize_text(required_value))
 
 
 class FeatureClassRegistry(_Value):
     """Feature classifications plus dependency rules. A feature missing from
     `classes` falls back to `default_class`, local by default: the inert choice.
-    `unregistered_features` lists a tree's features that fall back. `_checks`
-    holds each rule with its normalized required value, and `_table` each
-    governor's (dependent, normalized required value) pairs, both in rule order."""
+    `unregistered_features` lists a tree's features that fall back. `_table`
+    holds each governor's (dependent, required value) pairs, in rule order."""
 
     _fields = ("classes", "rules", "default_class")
-    __slots__ = (*_fields, "_checks", "_table")
+    __slots__ = (*_fields, "_table")
     classes: Mapping[FeatureName, FeatureClass]
     rules: tuple[DependencyRule, ...]
     default_class: FeatureClass
@@ -305,17 +305,15 @@ class FeatureClassRegistry(_Value):
     ):
         mapping = {FeatureName(f): c for f, c in dict(classes).items()}
         rules = tuple(rules)
-        checks = tuple((rule, normalize_text(rule.required_value)) for rule in rules)
         table: dict[FeatureName, list[tuple[FeatureName, str]]] = {}
-        for rule, required in checks:
+        for rule in rules:
             if mapping.get(rule.governor) is not FeatureClass.OVERWRITING:
                 raise ValueError(
                     f"dependency rule governor {rule.governor!r} is not an overwriting feature"
                 )
-            table.setdefault(rule.governor, []).append((rule.dependent, required))
+            table.setdefault(rule.governor, []).append((rule.dependent, rule.required_value))
         super().__init__(mapping, rules, default_class)
-        object.__setattr__(self, "_checks", checks)  # `rules` is a tuple, so neither can go stale
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", table)  # `rules` is a tuple, so it cannot go stale
 
     def classify(self, feature: FeatureName | str) -> FeatureClass:
         """The class of `feature`, or `default_class`; a name that is not a FeatureName is folded first."""
@@ -401,9 +399,14 @@ Violation = Union[OverwriteViolation, DependencyViolation]
 # Value comparison
 
 def normalize_text(text: str) -> str:
-    """An `Atomic`'s text and a rule value's comparison form: NFC, trimmed of XML
-    whitespace (space, tab, CR, LF); U+00A0 and the other spaces are text."""
-    return normalize("NFC", text).strip(" \t\n\r")
+    """The canonical text of an `Atomic` and of a rule's required value, the
+    form its XML encoding reads back as: NFC, each run of XML whitespace (space,
+    tab, CR, LF) one space, the ends trimmed. U+00A0, the other spaces and the
+    control characters are text."""
+    text = normalize("NFC", text)
+    if text.isprintable():  # then the space is its one whitespace character, and str.split is exact
+        return " ".join(text.split())
+    return re.sub("[ \t\n\r]+", " ", text).strip(" ")
 
 
 def _value_key(value: FeatureValue) -> str | tuple:
@@ -526,15 +529,14 @@ _LOCAL, _CUMULATIVE = FeatureClass.LOCAL, FeatureClass.CUMULATIVE  # an Enum mem
 
 def _fold(
     state: _State, nodes: Sequence[Node], depth: int, classify: Callable[[FeatureName], FeatureClass], table: dict,
-    doubled: list[tuple[Property, Property]] | None = None,
+    doubled: list[tuple[Property, Property]],
 ) -> list[int]:
     """Fold `nodes`, a chain from a node at `depth` down to a descendant, onto
     the state its first node inherits, in place, as `effective_set` describes;
     return the keys of the last node's local entries, which its children drop.
     `classify` runs once per property, in order; ancestors' local entries are
     then skipped. An overwrite reads its feature's rules from `table` (a registry's `_table`).
-    A doubled overwriting feature raises OverwriteConflict at the first node that
-    doubles it, or is skipped and appended to a given `doubled` as (first, second)."""
+    A doubled overwriting feature is skipped and appended to `doubled` as (first, second)."""
     local_keys: list[int] = []
     endpoint = nodes[-1]
     for node in nodes:
@@ -555,8 +557,6 @@ def _fold(
             if seen_here is None:
                 seen_here = {}
             elif feature in seen_here:
-                if doubled is None:
-                    raise OverwriteConflict(feature, seen_here[feature].value, prop.value)
                 doubled.append((seen_here[feature], prop))
                 continue
             seen_here[feature] = prop
@@ -623,9 +623,9 @@ def effective_set(
     """Compute the feature set holding at the endpoint of `path`.
 
     The path is resolved in full first, so PathOutOfRange for a bad step comes
-    before OverwriteConflict for a node on the path that doubles up an
-    overwriting feature. Then one `_fold` call folds root through endpoint,
-    each node's properties in document order:
+    before OverwriteConflict, which the first doubled overwriting feature on
+    the path raises once the fold is done. One `_fold` call folds root through
+    endpoint, each node's properties in document order:
 
     * cumulative values append, with exact duplicates (feature, value, attrs)
       collapsed onto their first occurrence;
@@ -637,7 +637,11 @@ def effective_set(
     * local values appear only when the contributing node is the endpoint.
     """
     state: _State = {}
-    _fold(state, _chain(root, path), 0, registry.classify, registry._table)
+    doubled: list[tuple[Property, Property]] = []
+    _fold(state, _chain(root, path), 0, registry.classify, registry._table, doubled)
+    if doubled:
+        first, second = doubled[0]
+        raise OverwriteConflict(second.feature, first.value, second.value)
     result = object.__new__(EffectiveFeatureSet)
     entries, depths, _ = zip(*state.values()) if state else ((), (), ())
     object.__setattr__(result, "entries", entries)
@@ -659,9 +663,9 @@ def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violat
     for path, node, state, doubled in _walk(root, registry):
         for first, second in doubled:
             violations.append(OverwriteViolation(tuple(path), second.feature, first.value, second.value))
-        for rule, required in registry._checks:
+        for rule in registry.rules:
             governor = state.get(rule.governor)
-            if governor is None or governor[2] == required:
+            if governor is None or governor[2] == rule.required_value:
                 continue
             for prop in node.properties:
                 if prop.feature == rule.dependent:

@@ -8,8 +8,9 @@ Grammar, one directive per line:
 Lines break at LF, CRLF or CR, and fields at runs of spaces and tabs. Blank
 lines and lines starting with `#` are ignored. A `dep` governor must have
 been declared `over` on an earlier line; the required value is the rest of
-the line, so it may contain spaces. Feature names fold case. The class words
-are the values of `FeatureClass`.
+the line, held as `model.normalize_text` gives it: its runs of spaces and
+tabs are one space, as in a parsed value. Feature names fold case. The class
+words are the values of `FeatureClass`.
 """
 
 from __future__ import annotations

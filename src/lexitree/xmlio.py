@@ -13,29 +13,28 @@ gets none. Expat appends a feature element's text to the parse's one text
 list and keeps each distinct chunk of text directly in a structural element
 once, with no Python call; stray text restarts the parse, unbuffered, with a
 handler that warns of it in place. Values and nodes are built through their
-slots. A value's text is its character data trimmed, with each run of XML
-whitespace collapsed to one space, and then in NFC unless it is ASCII: the
-text `model.normalize_text` gives, so a parsed value is what `Atomic` would
-hold. Which element may open inside which is one table, `_CONTENT`, that also
-holds the refusal for the rest. Parsing is lenient by default: unknown
-elements become atomic properties and misplaced ones are skipped, each with a
-warning, so real dictionary data with extra tags degrades gracefully. With
-`strict` set on the profile they abort the parse instead.
+slots. A value's text is `model.normalize_text` of its character data, so a
+parsed value is what `Atomic` would hold; printable text with single spaces
+inside needs at most NFC, and no Python call. Which element may open inside
+which is one table, `_CONTENT`, that also holds the refusal for the rest.
+Parsing is lenient by default: unknown elements become atomic properties and
+misplaced ones are skipped, each with a warning, so real dictionary data with
+extra tags degrades gracefully. With `strict` set on the profile they abort
+the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
 wrapper, two-space indentation per level up to 64 levels, one element per
-line, and each value's text as it is, which is NFC. Parsing that form yields
-the original tree, and a parsed tree re-serializes byte-identically. A value
-that would not read back as itself (a character outside XML, or XML
-whitespace other than single spaces between words) is refused. The writer
-makes two passes. The first builds and checks each distinct property's
-element once, as UTF-8, so a refusal comes before any output; the second
-yields the document one node or closing tag at a time (`serialize_chunks`),
-so a caller can write it without holding it whole. Two caveats follow from
-the encoding itself: adjacent alternative groups cannot be told apart (they
-re-parse as one group), and `gender` is accepted on input as an alias that
-canonicalizes to `gen`. Neither parsing nor writing recurses, so nesting
-depth is bounded by memory alone.
+line, and each value's text as it is, which is canonical. Parsing that form
+yields the original tree, and a parsed tree re-serializes byte-identically. A
+value holding a character outside XML is refused. The writer makes two
+passes. The first builds and checks each distinct property's element once,
+as UTF-8, so a refusal comes before any output; the second yields the
+document one node or closing tag at a time (`serialize_chunks`), so a caller
+can write it without holding it whole. Two caveats follow from the encoding
+itself: adjacent alternative groups cannot be told apart (they re-parse as
+one group), and `gender` is accepted on input as an alias that canonicalizes
+to `gen`. Neither parsing nor writing recurses, so nesting depth is bounded
+by memory alone.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .model import (
     Property,
     _Value,
     _tree_properties,
+    normalize_text,
 )
 
 DEFAULT_BASE_ELEMENTS = frozenset(
@@ -138,15 +138,6 @@ class UnknownFeature(SerializeError):
     def __init__(self, feature: FeatureName):
         self.feature = feature
         super().__init__(f"feature {str(feature)!r} has no base element in the profile")
-
-
-def _collapse(text: str) -> str:
-    """Trim and collapse runs of XML whitespace, as source text is typeset noisily;
-    U+00A0 and the other spaces are text. `str.split` is exact on ASCII, where
-    XML bars the controls it also splits on, and on printable text."""
-    if text.isascii() or text.isprintable():
-        return " ".join(text.split())
-    return re.sub("[ \t\n\r]+", " ", text).strip(" ")
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +325,13 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
                 return
             text = chunks[0] if len(chunks) == 1 else "".join(chunks)
             chunks.clear()
-            # canonical text (printable, spaces single and inside) needs no collapsing
+            # printable text with single spaces inside is canonical once in NFC, as ASCII is
             if not text.isprintable() or "  " in f" {text} ":
-                text = _collapse(text)
+                text = normalize_text(text)
+            elif not text.isascii():
+                text = normalize("NFC", text)
             value, prop = _new(Atomic), _new(Property)
-            _set_text(value, text if text.isascii() else normalize("NFC", text))  # normalize_text(text): trimmed already
+            _set_text(value, text)
             _set_feature(prop, feature)
             _set_value(prop, value)
             _set_attrs(prop, carried)
@@ -442,8 +435,7 @@ def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> b
     """Write a tree in the canonical encoding (UTF-8 bytes): `serialize_chunks` joined.
 
     Every feature must have a base element in the profile ('brack' is always
-    allowed), and every value must read back as written: XML must carry its
-    characters, and its XML whitespace must be single spaces between words.
+    allowed), and XML must carry every character of every value.
     Node layout is properties, then alternatives, then children.
     """
     return b"".join(serialize_chunks(root, profile))
@@ -492,15 +484,11 @@ def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> 
             if feature not in profile.base_elements:
                 raise UnknownFeature(feature)
             tag = tags[feature] = f"<{feature}", f"</{feature}>"
-        text = value.text
-        # printable text has no XML whitespace but the space: it reads back unless a space leads, trails or doubles
-        if not text.isprintable() or "  " in f" {text} ":
-            if not _carried(text):
-                raise SerializeError(f"value of feature {str(feature)!r} holds a character XML cannot carry")
-            if _collapse(text) != text:
-                raise SerializeError(f"value of feature {str(feature)!r} has XML whitespace that would not read back")
+        text = value.text  # canonical, so it reads back as itself if XML carries it
+        if not text.isprintable() and not _carried(text):
+            raise SerializeError(f"value of feature {str(feature)!r} holds a character XML cannot carry")
         head = tag[0] + attributes(prop) if prop.attrs else tag[0]
-        # _escape_text less "\r", which never reads back
+        # _escape_text less "\r", which canonical text never holds
         escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         elements[id(prop)] = (f"{head}>{escaped}{tag[1]}" if text else f"{head}/>").encode()
 

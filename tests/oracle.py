@@ -12,13 +12,15 @@ Expected trees are assumed valid (no doubled overwriting feature at a node);
 build them with attach_property.
 """
 
+import re
 import unicodedata
 
 from lexitree.model import Atomic, Composite, FeatureClass
 
 
 def _canon(text):
-    return unicodedata.normalize("NFC", text).strip(" \t\n\r")  # XML whitespace only
+    # NFC, each run of XML whitespace (and only XML whitespace) one space, the ends trimmed
+    return re.sub("[ \t\n\r]+", " ", unicodedata.normalize("NFC", text)).strip(" ")
 
 
 def _same_value(a, b):

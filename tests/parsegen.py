@@ -7,7 +7,7 @@ of each. Standard library only, so the script needs no test tools.
 SOUP_TAGS = ("dict", "struc", "struc", "alt", "alt", "brack", "orth", "orth", "def", "gender", "sensenum",
              "Odd_Name", "x.y", "pos", "gen")
 SOUP_ATTRS = ("", ' n="1"', ' a="x" b="&lt;"')
-SOUP_TEXT = ("x", " ", "a  b", "\n  ", "&amp;", "\u00e9", "<![CDATA[<b> ]]>", "<!-- c -->", "&#233;", "\t",
+SOUP_TEXT = ("x", " ", "a  b", "\n  ", "&amp;", "\u00e9", "e\u0301", "<![CDATA[<b> ]]>", "<!-- c -->", "&#233;", "\t",
              "noun", "verb")
 
 

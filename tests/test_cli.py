@@ -94,6 +94,21 @@ def test_a_required_value_may_end_in_a_no_break_space(capsys, tmp_path):
     assert err == "(root): feature 'gen' requires 'pos'='noun\\xa0' but the effective value is 'noun'\n"
 
 
+@pytest.mark.parametrize("space", ["  ", "\t"])
+def test_a_required_value_with_a_run_of_spaces_or_a_tab_matches_the_parsed_value(capsys, tmp_path, space):
+    # the rule's value is held as the parser reads the governor's text, one space between the words
+    rules = tmp_path / "proper.rules"
+    rules.write_text(f"class orth over\nclass pos over\nclass gen over\nclass def cum\ndep gen pos proper{space}noun\n",
+                     encoding="utf-8")
+    doc = tmp_path / "proper.xml"
+    doc.write_text("<struc><orth>x</orth><pos>proper  noun</pos><struc><gen>m</gen></struc></struc>", encoding="utf-8")
+    assert run(capsys, "validate", doc, "--rules", rules) == (0, "OK\n", "")
+    inherited = "<struc><orth>x</orth><gen>m</gen><struc><pos>proper noun</pos><struc><def>d</def></struc></struc></struc>"
+    doc.write_text(inherited, encoding="utf-8")
+    code, out, err = run(capsys, "effective", doc, "--path", "0.0", "--rules", rules)
+    assert (code, err) == (0, "") and "gen : m" in out, out
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", FIXTURES / "no_such.xml")
     assert code == 2

@@ -143,6 +143,8 @@ def test_values_compare_normalized():
     # an atomic value holds its normalized text, which is what it compares by
     assert Atomic("  cafe\u0301\n").text == "caf\u00e9" and Atomic("  café ").text == "café"
     assert Atomic("cafe\u0301") == Atomic("caf\u00e9") and Property("orth", " x ").value.text == "x"
+    assert Atomic("a  b").text == Atomic(" a\t\r\nb ").text == "a b" and Atomic("a\x0bb").text == "a\x0bb"
+    assert DependencyRule("gen", "pos", "proper\tnoun").required_value == "proper noun"
     assert values_equal(Atomic("  café "), Atomic("café"))
     assert not values_equal(Atomic("a"), Composite([P("a", "b")]))
     assert values_equal(

@@ -151,15 +151,18 @@ def test_a_slot_left_unset_stays_unset_in_copies():
 
 
 def test_copies_and_pickles_keep_the_canonical_text_and_rule_table():
-    atomic = Atomic(" cafe\u0301\n")
-    registry = FeatureClassRegistry({"pos": FeatureClass.OVERWRITING}, [DependencyRule("gen", "pos", " nou\u0308n ")])
+    atomic = Atomic(" cafe\u0301 \t au\r\nlait\n")
+    rule = DependencyRule("gen", "pos", " nou\u0308n\t x ")
+    registry = FeatureClassRegistry({"pos": FeatureClass.OVERWRITING}, [rule])
     assert Atomic.__slots__ == ("text",) and not hasattr(atomic, "_key")
-    assert atomic.text == "caf\u00e9" and registry._table == {"pos": [("gen", "no\u00fcn")]}
-    assert registry._checks == ((DependencyRule("gen", "pos", " nou\u0308n "), "no\u00fcn"),)
+    assert FeatureClassRegistry.__slots__ == ("classes", "rules", "default_class", "_table")
+    assert atomic.text == "caf\u00e9 au lait" and registry._table == {"pos": [("gen", "no\u00fcn x")]}
+    assert registry.rules == (rule,) and rule.required_value == "no\u00fcn x"
     for again in copies(atomic):
         assert again.text == atomic.text and again == atomic
     for again in copies(registry):
-        assert (again._checks, again._table) == (registry._checks, registry._table)
+        assert (again.rules, again._table) == (registry.rules, registry._table)
+        assert again.rules[0].required_value == "no\u00fcn x"
 
 
 def test_effective_set_on_an_unpickled_parsed_tree_equals_the_original():

@@ -346,6 +346,8 @@ def test_value_text_is_its_character_data_trimmed_and_collapsed(values):
     # each value of the entry, read by either pass, against a reference that shares no code with the parser
     document = "<struc>" + "".join(f"<def>{''.join(m for m, _ in pieces)}</def>" for pieces in values) + "</struc>"
     expected = [_value_reference("".join(c for _, c in pieces)) for pieces in values]
+    # the constructor makes the same canonical text of the same character data
+    assert [Atomic("".join(c for _, c in pieces)).text for pieces in values] == expected
     for parse in (parse_entry, exact_parse):
         tree, diagnostics = parse(document.encode("utf-8"))
         assert ([p.value.text for p in tree.properties], diagnostics) == (expected, [])
@@ -423,8 +425,12 @@ def test_empty_value_round_trips():
 def test_serialize_unknown_feature_rejected():
     with pytest.raises(UnknownFeature):
         serialize_entry(Node([Property("nonsuch", "x")]))
-    with pytest.raises(UnknownFeature):  # a node's alternatives are checked before its children
-        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("nonsuch", "1")], [P("pos", "v")]])], [Node([P("def", "a  b")])]))
+    # a node's alternatives are checked before its children, whichever of the two is refused for what
+    with pytest.raises(UnknownFeature):
+        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("nonsuch", "1")], [P("pos", "v")]])], [Node([P("def", "a\x01b")])]))
+    with pytest.raises(SerializeError) as err:
+        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("pos", "n")], [P("pos", "a\x01b")]])], [Node([P("nonsuch", "1")])]))
+    assert not isinstance(err.value, UnknownFeature) and "pos" in str(err.value)
 
 
 def test_serialize_rejects_out_of_encoding_values():
@@ -450,22 +456,31 @@ def test_serialize_rejects_out_of_encoding_values():
         assert named in str(err.value), prop
 
 
-def test_serialize_refuses_whitespace_that_would_not_read_back():
-    # the parser trims a value and collapses its runs of XML whitespace
-    # the constructor trims, so what reaches the writer is whitespace inside a value
-    for text in ("a  b", "a\tb", "a\nb", "a\rb", " a \t b\n", "\u00e9\t\u00e9", "a \r\nb"):
-        for prop in (P("def", text), P("brack", [P("ex", "e"), P("xr", text)])):
-            with pytest.raises(SerializeError) as err:
-                serialize_entry(Node([P("orth", "x"), prop]))
-            assert ("def" if prop.feature == "def" else "xr") in str(err.value), repr(text)
+def test_whitespace_in_a_value_becomes_canonical_and_reads_back_byte_identically():
+    # the constructor collapses each run of XML whitespace to one space and trims the ends, as the
+    # parser does, so a value's whitespace always reads back; U+00A0 and U+2028 are text
+    cases = {
+        "a  b": "a b", "a\tb": "a b", "a\nb": "a b", "a\rb": "a b", " a \t b\n": "a b", "a \r\nb": "a b",
+        "\u00e9\t\u00e9": "\u00e9 \u00e9", "": "", " a": "a", "a ": "a", " ": "", "\t\n\r": "",
+        "a b": "a b", "\u00a0a\u00a0 b": "\u00a0a\u00a0 b", "e\u0301 f": "\u00e9 f", "\u00e9 ": "\u00e9",
+        "a\u00a0\t\u2028 \n b": "a\u00a0 \u2028 b",
+    }
+    for text, canonical in cases.items():
+        element = f"<xr>{canonical}</xr>" if canonical else "<xr/>"
+        for prop in (P("xr", text), P("brack", [P("ex", "e"), P("xr", text)])):
+            value = prop.value if prop.feature == "xr" else prop.value.properties[1].value
+            assert value == Atomic(canonical) and value.text == canonical, repr(text)
+            tree = Node([P("orth", "x"), prop])
+            written = serialize_entry(tree)
+            assert element.encode() in written, repr(text)
+            again, diagnostics = parse_entry(written)
+            assert (again, diagnostics) == (tree, []) and serialize_entry(again) == written, repr(text)
     alts = AltGroup([[P("pos", "n")], [P("pos", "v\tw")]])
-    for children in ((), [Node([P("nonsuch", "1")])]):  # a node's alternatives are checked before its children
-        with pytest.raises(SerializeError) as err:
-            serialize_entry(Node([P("orth", "x")], [alts], children))
-        assert "pos" in str(err.value), children
-    for text in ("", " a", "a ", " ", "\t\n\r", "a b", "\u00a0a\u00a0 b", "e\u0301 f", "\u00e9 "):  # what reads back is written
-        tree = Node([P("orth", "x"), P("def", text)])
-        assert parse_entry(serialize_entry(tree)) == (tree, [])
+    tree = Node([P("orth", "x")], [alts], [Node([P("def", " a \r\n b ")])])
+    written = serialize_entry(tree)
+    assert b"<pos>v w</pos>" in written and b"<def>a b</def>" in written
+    again, diagnostics = parse_entry(written)
+    assert (again, diagnostics) == (tree, []) and serialize_entry(again) == written
 
 
 def _unshared(node):
