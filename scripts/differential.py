@@ -25,7 +25,7 @@ or the error's class and diagnostic; the reports must be equal. The sweep
 holds seeded tag soup from `tests/parsegen.py`, under the lenient and the
 strict profile; every fixture and generated document, as it is and with
 stray text after its first `<struc>` and before its last `</struc>`, which
-makes the parser start again with its exact pass; and a feature value of
+makes the parser run its exact pass after the first; and a feature value of
 each one and each two of `tests/parsegen.py`'s value pieces, which reach
 both sides of the parser's check for text that is already canonical.
 

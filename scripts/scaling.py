@@ -35,9 +35,10 @@ and effective set, or each row) rather than that of the output.
 
 The stray-text rows time `parse_entry` of the balanced tree's document,
 clean and with a comma after its first start tag or before its last end tag.
-Text other than XML whitespace directly inside a structural element makes
-the parser start again with the handler that warns of it, so these rows give
-the restart's cost, early and late, against a clean document's one pass.
+The parser checks the text directly inside structural elements once the
+document is read; text there other than XML whitespace makes it parse the
+document again with the handler that warns of it. So either stray row costs
+about a clean pass plus the exact pass, early or late alike.
 
 The last rows time a refusal: the same chain with an alternative group at
 its deepest node, which `extract_table`, `materialize_inheritance` and

@@ -196,7 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader stopped early; what is left in stdout's buffer goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return SEMANTIC
     except LexitreeError as exc:
         hint = " (run: lexitree expand)" if isinstance(exc, UnexpandedAlternatives) else ""

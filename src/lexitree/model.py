@@ -409,20 +409,6 @@ def normalize_text(text: str) -> str:
     return re.sub("[ \t\n\r]+", " ", text).strip(" ")
 
 
-def _value_key(value: FeatureValue) -> str | tuple:
-    """The comparison form of a value: the text of an atomic value, a
-    tuple of (feature, attrs, key) for a composite. Two values are equal
-    exactly when their keys are."""
-    if isinstance(value, Atomic):
-        return value.text
-    return tuple((p.feature, p.attrs, _value_key(p.value)) for p in value.properties)
-
-
-def values_equal(a: FeatureValue, b: FeatureValue) -> bool:
-    """Structural value equality with normalized atomic text."""
-    return _value_key(a) == _value_key(b)
-
-
 def format_value(value: FeatureValue) -> str:
     """Render a value for listings: atomic text, or `[f : v, ...]` for composites."""
     if isinstance(value, Atomic):
@@ -518,7 +504,9 @@ def attach_property(node: Node, prop: Property, registry: FeatureClassRegistry) 
 
 
 # The propagation state at a node maps a key to (property, contributing
-# depth, value key), in effective order. An overwriting entry's key is its
+# depth, value key), in effective order. A value key is an atomic value's text
+# (a plain `Atomic` is told by its class first: isinstance alone costs every
+# query) and any other value itself. An overwriting entry's key is its
 # feature, so a deeper value replaces it by lookup; a cumulative entry's key
 # is (feature, attrs, value key), so an exact duplicate is a key already
 # present; a local entry's key is its index in the node's property list.
@@ -550,7 +538,7 @@ def _fold(
                     local_keys.append(index)
                 continue
             value = prop.value
-            key = value.text if value.__class__ is Atomic else _value_key(value)
+            key = value.text if value.__class__ is Atomic or isinstance(value, Atomic) else value
             if cls is _CUMULATIVE:
                 state.setdefault((feature, prop.attrs, key), (prop, depth, key))
                 continue

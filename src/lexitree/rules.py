@@ -66,7 +66,11 @@ def parse_rules(text: str, source: str = "<rules>") -> FeatureClassRegistry:
 
 def load_rules(path: str | Path) -> FeatureClassRegistry:
     path = Path(path)
-    return parse_rules(path.read_text(encoding="utf-8-sig"), source=str(path))  # a leading BOM is no text
+    try:  # a leading BOM is no text; other bytes that are not UTF-8 are refused at their line
+        return parse_rules(path.read_bytes().decode("utf-8-sig"), source=str(path))
+    except UnicodeDecodeError as exc:
+        line = len((exc.object[:exc.start] + b".").splitlines())  # bytes split at LF, CRLF and CR only
+        raise RulesError(str(path), line, f"not UTF-8 ({exc.reason})") from exc
 
 
 def default_rules_text() -> str:

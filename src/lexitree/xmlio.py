@@ -10,17 +10,17 @@ its text is the value and its XML attributes are carried verbatim.
 Parsing is one pass of expat callbacks, with text buffered so that each run
 arrives as one chunk. Each structural element gets a frame; a feature element
 gets none. Expat appends a feature element's text to the parse's one text
-list and keeps each distinct chunk of text directly in a structural element
-once, with no Python call; stray text restarts the parse, unbuffered, with a
-handler that warns of it in place. Values and nodes are built through their
-slots. A value's text is `model.normalize_text` of its character data, so a
-parsed value is what `Atomic` would hold; printable text with single spaces
-inside needs at most NFC, and no Python call. Which element may open inside
-which is one table, `_CONTENT`, that also holds the refusal for the rest.
-Parsing is lenient by default: unknown elements become atomic properties and
-misplaced ones are skipped, each with a warning, so real dictionary data with
-extra tags degrades gracefully. With `strict` set on the profile they abort
-the parse instead.
+list, and each distinct chunk of text directly in a structural element to a
+set, with no Python call; a chunk of stray text among them, found at the end,
+means a second pass, unbuffered, that warns of it in place. Values and nodes
+are built through their slots. A value's text is `model.normalize_text` of
+its character data, so a parsed value is what `Atomic` would hold; printable
+text with single spaces inside needs at most NFC, and no Python call. Which
+element may open inside which is one table, `_CONTENT`, that also holds the
+refusal for the rest. Parsing is lenient by default: unknown elements become
+atomic properties and misplaced ones are skipped, each with a warning, so
+real dictionary data with extra tags degrades gracefully. With `strict` set
+on the profile they abort the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
 wrapper, two-space indentation per level up to 64 levels, one element per
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import re
-from itertools import islice
 from typing import Iterable, Iterator
 from unicodedata import normalize
 from xml.parsers import expat
@@ -209,10 +208,6 @@ _set_feature, _set_value, _set_attrs = (getattr(Property, name).__set__ for name
 _set_props, _set_groups, _set_children = (getattr(Node, name).__set__ for name in Node._fields)
 
 
-class _StrayText(Exception):
-    """Text directly inside a structural element is more than XML whitespace."""
-
-
 def parse_entry(
     document: bytes | str, profile: EncodingProfile = DEFAULT_PROFILE
 ) -> tuple[Node, list[ParseDiagnostic]]:
@@ -222,15 +217,12 @@ def parse_entry(
     multiplied entry node, and (in strict mode) unknown or misplaced elements
     raise ParseError subclasses instead.
     """
-    try:
-        return _parse(document, profile, exact=False)
-    except _StrayText:
-        return _parse(document, profile, exact=True)
+    return _parse(document, profile, exact=False) or _parse(document, profile, exact=True)
 
 
-def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tuple[Node, list[ParseDiagnostic]]:
-    """One pass of `parse_entry`. Text directly inside structural elements goes to `chardata` if
-    `exact`, else to `between`; the next element event after stray text there restarts the parse."""
+def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tuple[Node, list[ParseDiagnostic]] | None:
+    """One pass of `parse_entry`. Text directly inside structural elements goes to `chardata` if `exact`,
+    else to `between`, checked at the end: None if it holds stray text. Stray text changes no refusal."""
     parser = expat.ParserCreate()
     parser.ordered_attributes = True
     # Buffered, a text run arrives as one chunk, handed over before the next element event
@@ -247,14 +239,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
     flatten = 0
     chunks: list[str] = []
     append = chunks.append
-    between: dict[str, None] = {}  # each distinct chunk once, in order of arrival
-    clean = 0  # len(between) when it last held XML whitespace only
-
-    def check_between() -> None:  # each chunk once: a deep entry's indentation has many lengths
-        nonlocal clean
-        if any(chunk.strip(" \t\n\r") for chunk in islice(reversed(between), len(between) - clean)):
-            raise _StrayText
-        clean = len(between)
+    between: set[str] = set()  # each distinct chunk once: a deep entry's indentation has many lengths
 
     def diagnostic(severity: str, message: str) -> ParseDiagnostic:
         return ParseDiagnostic(severity, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1, message)
@@ -279,8 +264,6 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             flatten += 1
             warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
             return
-        if len(between) != clean:
-            check_between()
         kind, name, unknown = tags.get(tag) or tags.setdefault(tag, _resolve(tag, profile.base_elements))
         top = stack[-1]
         allowed, refusal = _CONTENT[top.kind]
@@ -339,8 +322,6 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             feature = None
             parser.CharacterDataHandler = structural
             return
-        if len(between) != clean:  # the document element's end checks the last chunks
-            check_between()
         top = stack.pop()
         kind, parent = top.kind, stack[-1]
         if kind == "struc":
@@ -376,7 +357,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             stack[-1].warned_text = True
             warn("stray text inside a structural element; ignored")
 
-    structural = chardata if exact else between.setdefault
+    structural = chardata if exact else between.add
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = structural
@@ -388,6 +369,8 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
         ) from exc
     finally:  # break the parser-handler cycle, so reference counting frees the parse's state
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+    if any(chunk.strip(" \t\n\r") for chunk in between):
+        return None
     (entry,) = stack[0].children  # the document element closed as a struc, or a dict holding one
     return entry, diagnostics
 
@@ -414,13 +397,12 @@ def _is_name(name: str) -> bool:
 
 
 def _escape_text(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
-    )
+    # canonical text holds no "\r", so only an attribute value needs its reference
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _escape_attr(text: str) -> str:
-    return _escape_text(text).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
+    return _escape_text(text).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
 
 
 # A line is indented by its depth up to _MAX_INDENT levels, so a deep chain writes linear bytes.
@@ -488,9 +470,7 @@ def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> 
         if not text.isprintable() and not _carried(text):
             raise SerializeError(f"value of feature {str(feature)!r} holds a character XML cannot carry")
         head = tag[0] + attributes(prop) if prop.attrs else tag[0]
-        # _escape_text less "\r", which canonical text never holds
-        escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        elements[id(prop)] = (f"{head}>{escaped}{tag[1]}" if text else f"{head}/>").encode()
+        elements[id(prop)] = (f"{head}>{_escape_text(text)}{tag[1]}" if text else f"{head}/>").encode()
 
     for prop in _tree_properties(root):  # pass 1, in document order, so the first refusal is the first in the output
         if id(prop) not in elements:

@@ -462,6 +462,21 @@ def test_missing_rules_file_is_bad_argument(capsys, monkeypatch, tmp_path, via_e
         assert run(capsys, "expand", FIXTURES / "leaf.xml")[::2] == (0, "")
 
 
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("data, line", [(b"\xffclass orth over\n", 1), (b"\xef\xbb\xbf# a\r\n\n# caf\xe9\n", 3)])
+def test_a_rules_file_that_is_not_utf8_is_named_at_the_line_of_its_first_bad_byte(
+        capsys, monkeypatch, tmp_path, via_env, data, line):
+    rules = tmp_path / "bad.rules"
+    rules.write_bytes(data)
+    if via_env:
+        monkeypatch.setenv("LEXITREE_RULES", str(rules))
+        code, out, err = run(capsys, "validate", FIXTURES / "leaf.xml")
+    else:
+        code, out, err = run(capsys, "validate", FIXTURES / "leaf.xml", "--rules", rules)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"lexitree: {rules}:{line}: not UTF-8 (") and err.count("\n") == 1
+
+
 NO_SUCH = "lexitree: [Errno 2] No such file or directory: '{}'"
 
 
@@ -646,6 +661,17 @@ def test_a_closed_stdout_exits_one_with_stderr_empty(tmp_path, unbuffered):
             assert len(proc.stdout.read(3)) == 3
             proc.stdout.close()
             assert (proc.stderr.read(), proc.wait()) == (b"", 1), argv
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open descriptors")
+def test_a_closed_stdout_leaks_no_descriptor_in_process():
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout, contextlib.redirect_stdout(stdout):
+            assert main(["expand", str(FIXTURES / "gendarme.xml")]) == 1
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):

@@ -31,7 +31,6 @@ from lexitree.model import (
     partial_traversals,
     resolve_path,
     unregistered_features,
-    values_equal,
 )
 from lexitree.xmlio import parse_entry
 
@@ -145,15 +144,12 @@ def test_values_compare_normalized():
     assert Atomic("cafe\u0301") == Atomic("caf\u00e9") and Property("orth", " x ").value.text == "x"
     assert Atomic("a  b").text == Atomic(" a\t\r\nb ").text == "a b" and Atomic("a\x0bb").text == "a\x0bb"
     assert DependencyRule("gen", "pos", "proper\tnoun").required_value == "proper noun"
-    assert values_equal(Atomic("  café "), Atomic("café"))
-    assert not values_equal(Atomic("a"), Composite([P("a", "b")]))
-    assert values_equal(
-        Composite([P("ex", "x ", n="1")]),
-        Composite([P("ex", "x", n="1")]),
-    )
+    assert Atomic("  café ") == Atomic("café")
+    assert Atomic("a") != Composite([P("a", "b")])
+    assert Composite([P("ex", "x ", n="1")]) == Composite([P("ex", "x", n="1")])
     for space in ("\u00a0", "\u202f", "\u3000", "\u0085", "\u2028"):  # text to the parser, so not trimmed
-        assert not values_equal(Atomic(f"{space}x"), Atomic("x"))
-        assert not values_equal(Atomic(f"x{space}"), Atomic("x"))
+        assert Atomic(f"{space}x") != Atomic("x")
+        assert Atomic(f"x{space}") != Atomic("x")
 
 
 def test_a_cumulative_value_with_a_leading_no_break_space_is_not_a_duplicate(registry):
@@ -361,6 +357,46 @@ def test_redundant_overwrite_keeps_position_and_does_not_block():
     tree = Node([P("pos", "n"), P("gen", "f")], children=[Node([P("pos", "n")])])
     child = entries_as_tuples(effective_set(tree, (0,), registry))
     assert child == [("pos", "n", (), 0), ("gen", "f", (), 0)]
+
+
+def test_equal_bundles_under_a_cumulative_brack_collapse_to_one_entry():
+    registry = FeatureClassRegistry({"brack": FeatureClass.CUMULATIVE})
+    bundle = P("brack", [P("ex", "e"), P("xr", "x", n="1")])
+    again = P("brack", [P("ex", " e\t"), P("xr", "x", n="1")])  # equal, built apart
+    other = P("brack", [P("ex", "e"), P("xr", "x", n="2")])
+    tree = Node([bundle], children=[Node([again, other, again])])
+    eff = effective_set(tree, (0,), registry)
+    assert list(eff.items()) == [(bundle, 0), (other, 1)]
+    assert list(eff.items()) == oracle_effective_set(tree, (0,), registry)
+
+
+def test_an_equal_bundle_under_an_overwriting_brack_is_a_no_op_that_keeps_the_ancestors_depth():
+    registry = FeatureClassRegistry({"brack": FeatureClass.OVERWRITING, "def": FeatureClass.CUMULATIVE})
+    bundle = P("brack", [P("ex", "cafe\u0301")])
+    tree = Node(
+        [bundle, P("def", "d")],
+        children=[Node([P("brack", [P("ex", "caf\u00e9 ")])]), Node([P("brack", [P("ex", "caf\u00e9", n="1")])])],
+    )
+    assert list(effective_set(tree, (0,), registry).items()) == [(bundle, 0), (tree.properties[1], 0)]
+    moved = tree.children[1].properties[0]  # the attribute inside makes it another value
+    assert list(effective_set(tree, (1,), registry).items()) == [(tree.properties[1], 0), (moved, 1)]
+    for path in ((0,), (1,)):
+        assert list(effective_set(tree, path, registry).items()) == oracle_effective_set(tree, path, registry)
+
+
+class _TaggedAtomic(Atomic):
+    __slots__ = ()
+
+
+def test_an_atomic_subclass_compares_by_its_text(registry):
+    # default rules: gen requires pos=noun
+    noun = Property("pos", _TaggedAtomic("noun"))
+    assert noun.value.text == "noun" and noun.value != Atomic("noun")
+    assert check_consistency(Node([noun, P("gen", "m")]), registry) == []
+    verb = Property("pos", _TaggedAtomic("verb"))
+    tree = Node([P("gen", "m"), noun], children=[Node([P("pos", "noun")]), Node([verb])])
+    assert list(effective_set(tree, (0,), registry).items()) == [(tree.properties[0], 0), (noun, 0)]  # a no-op
+    assert entries_as_tuples(effective_set(tree, (1,), registry)) == [("pos", "verb", (), 1)]  # gen is blocked
 
 
 @pytest.mark.parametrize("path, step", [((1,), 0), ((0, 0), 1), ((0, 2, 0), 1)])
@@ -684,10 +720,10 @@ def test_blocked_dependents_never_survive(tree_and_registry):
                 for prop in node.properties:
                     if prop.feature != rule.governor:
                         continue
-                    if current is not None and values_equal(current, prop.value):
+                    if current is not None and current == prop.value:
                         continue
                     current = prop.value
-                    if not values_equal(prop.value, Atomic(rule.required_value)):
+                    if prop.value != Atomic(rule.required_value):
                         block_depth = depth
             if block_depth is None:
                 continue

@@ -670,7 +670,7 @@ def test_tag_soup_parses_alike_from_str_and_bytes(document, profile):
 
 
 # ---------------------------------------------------------------------------
-# One pass for clean documents, a restart for stray text
+# One pass for clean documents and refused ones, a second for stray text
 
 
 def outcome(parse, document, profile=DEFAULT_PROFILE):
@@ -740,6 +740,17 @@ def test_clean_documents_parse_in_one_pass_and_stray_text_in_two(passes):
         assert parse_passes(passes, written) == 1, path.name
         closing = written.rindex(b"</struc>")
         assert parse_passes(passes, written[:closing] + b";" + written[closing:]) == 2, path.name
+
+
+@pytest.mark.parametrize("document, profile, error", [
+    (b"<struc>,<foo/></struc>", STRICT, UnknownElement),
+    (b"<struc>,<orth>a</orth>", DEFAULT_PROFILE, XmlMalformed),
+])
+def test_stray_text_in_a_refused_document_costs_one_pass(passes, document, profile, error):
+    with pytest.raises(error):
+        parse_passes(passes, document, profile)
+    assert len(passes) == 1  # the refusal comes from the first pass, as the exact pass gives it
+    assert outcome(parse_entry, document, profile) == outcome(exact_parse, document, profile)
 
 
 def test_text_in_skipped_subtrees_keeps_one_pass(passes):
