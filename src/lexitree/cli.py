@@ -7,8 +7,8 @@
     lexitree materialize FILE [--rules RULES]
     lexitree table       FILE --cols F1,F2,... [--format tsv|html] [--rules RULES]
 
-Exit codes: 0 success, 1 semantic violation, bad argument or a closed stdout
-(nothing on stderr), 2 input parse failure. stdout carries only payload;
+Exit codes: 0 success, 1 semantic violation, bad argument or unwritable stdout
+(silent if it is closed), 2 input parse failure. stdout carries only payload;
 diagnostics, a warning per unregistered feature included, go to stderr. Paths
 are dotted 0-based child indices; the empty string is the root. The rules file
 defaults to the shipped one; LEXITREE_RULES overrides it and --rules both.
@@ -190,15 +190,19 @@ def _cmd_table(args, registry: FeatureClassRegistry) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # started with stdout closed: as a reader gone before the first byte
+        return SEMANTIC
     try:
         args = _build_parser().parse_args(argv)
         code = args.run(args, _load_registry(args.rules) if "rules" in args else None)
-        sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
+        sys.stdout.flush()  # so a closed or full stdout raises here, not at interpreter exit
         return code
-    except BrokenPipeError:  # the reader stopped early; what is left in stdout's buffer goes nowhere
+    except OSError as exc:  # stdout took no more, such as a reader that stopped early; what is left goes nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"lexitree: {exc}", file=sys.stderr)
         return SEMANTIC
     except LexitreeError as exc:
         hint = " (run: lexitree expand)" if isinstance(exc, UnexpandedAlternatives) else ""
@@ -207,7 +211,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"lexitree: {exc}", file=sys.stderr)
         return SEMANTIC
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

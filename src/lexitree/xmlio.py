@@ -25,16 +25,16 @@ on the profile they abort the parse instead.
 Serialization produces one canonical form: an XML declaration, a `dict`
 wrapper, two-space indentation per level up to 64 levels, one element per
 line, and each value's text as it is, which is canonical. Parsing that form
-yields the original tree, and a parsed tree re-serializes byte-identically. A
-value holding a character outside XML is refused. The writer makes two
-passes. The first builds and checks each distinct property's element once,
-as UTF-8, so a refusal comes before any output; the second yields the
-document one node or closing tag at a time (`serialize_chunks`), so a caller
-can write it without holding it whole. Two caveats follow from the encoding
-itself: adjacent alternative groups cannot be told apart (they re-parse as
-one group), and `gender` is accepted on input as an alias that canonicalizes
-to `gen`. Neither parsing nor writing recurses, so nesting depth is bounded
-by memory alone.
+yields the original tree (a feature outside the profile with a "kept as a
+feature" warning), and a parsed tree re-serializes byte-identically. The
+writer refuses what would not read back as itself: a feature named `struc`,
+`alt`, `dict` or `gender` (an alias of `gen`) or starting with a digit, and a
+character outside XML. It makes two passes. The first builds and checks each
+distinct property's element once, as UTF-8, so a refusal comes before any
+output; the second yields the document one node or closing tag at a time
+(`serialize_chunks`), so a caller can write it without holding it whole.
+Adjacent alternative groups re-parse as one group. Neither parsing nor
+writing recurses, so nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class EncodingProfile(_Value):
         for reserved in _STRUCTURAL:
             if reserved in names:
                 raise ValueError(f"{reserved!r} is a structural element, not a base element")
-        for name in names:
-            if name[0].isdigit():
-                raise ValueError(f"base element {str(name)!r} is not a valid XML name")
         super().__init__(names, strict)
 
 
@@ -136,7 +133,7 @@ class SerializeError(LexitreeError):
 class UnknownFeature(SerializeError):
     def __init__(self, feature: FeatureName):
         self.feature = feature
-        super().__init__(f"feature {str(feature)!r} has no base element in the profile")
+        super().__init__(f"feature {str(feature)!r} has no element that reads back as itself")
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +410,17 @@ _OPEN, _CLOSE, _EMPTY, _ALT, _END_ALT = (
     tuple(indent + tag for indent in _INDENTS) for tag in (b"<struc>", b"</struc>", b"<struc/>", b"<alt>", b"</alt>"))
 
 
-def serialize_entry(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> bytes:
+def serialize_entry(root: Node) -> bytes:
     """Write a tree in the canonical encoding (UTF-8 bytes): `serialize_chunks` joined.
 
-    Every feature must have a base element in the profile ('brack' is always
-    allowed), and XML must carry every character of every value.
+    Every feature must read back as itself (UnknownFeature names one that would
+    not), and XML must carry every character of every value.
     Node layout is properties, then alternatives, then children.
     """
-    return b"".join(serialize_chunks(root, profile))
+    return b"".join(serialize_chunks(root))
 
 
-def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> Iterator[bytes]:
+def serialize_chunks(root: Node) -> Iterator[bytes]:
     """`serialize_entry`'s document as UTF-8 pieces: one per node, holding its properties and
     alternatives, and one per closing tag. Every property is built and checked before this
     returns, so a tree it cannot write raises SerializeError before any piece exists."""
@@ -460,10 +457,10 @@ def serialize_chunks(root: Node, profile: EncodingProfile = DEFAULT_PROFILE) -> 
             elements[id(prop)] = b"" if value.properties else f"<brack{attrs}/>".encode()
             return
         tag = tags.get(feature)
-        if tag is None:  # 'brack' is never a base element
+        if tag is None:  # once per name: a structural name or an alias reads back as another, a digit first as none
             if feature == "brack" and not nested:
                 raise SerializeError("'brack' must hold a bundle of properties, not plain text")
-            if feature not in profile.base_elements:
+            if feature in _STRUCTURAL or feature in _FEATURE_ALIASES or feature[0].isdigit():
                 raise UnknownFeature(feature)
             tag = tags[feature] = f"<{feature}", f"</{feature}>"
         text = value.text  # canonical, so it reads back as itself if XML carries it

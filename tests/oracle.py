@@ -26,13 +26,15 @@ def _canon(text):
 def _same_value(a, b):
     if isinstance(a, Atomic) and isinstance(b, Atomic):
         return _canon(a.text) == _canon(b.text)
-    if isinstance(a, Composite) and isinstance(b, Composite):
+    if isinstance(a, Composite) and type(a) is type(b):  # a bundle compares by ==, which tells classes apart
         if len(a.properties) != len(b.properties):
             return False
         for pa, pb in zip(a.properties, b.properties):
             if pa.feature != pb.feature:
                 return False
             if pa.attrs != pb.attrs:
+                return False
+            if type(pa.value) is not type(pb.value):  # so do the values inside it
                 return False
             if not _same_value(pa.value, pb.value):
                 return False

@@ -206,11 +206,11 @@ def test_round_trip_sweep():
     for _ in range(1000):
         registry = random_registry(rng, with_rules=False)
         tree = random_tree(rng, registry, allow_alts=True, for_xml=True)
-        document = serialize_entry(tree, XML_PROFILE)
+        document = serialize_entry(tree)
         again, diagnostics = parse_entry(document, XML_PROFILE)
         assert diagnostics == []
         assert again == tree
-        assert serialize_entry(again, XML_PROFILE) == document
+        assert serialize_entry(again) == document
 
 
 @criterion(8, 1.0, "overwriting the governor blocks the inherited dependent")

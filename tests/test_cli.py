@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import FIXTURES, CountingRegistry, P, fixture_bytes
-from treegen import XML_PROFILE, branching_xml_tree_with_rules, rules_text
+from treegen import branching_xml_tree_with_rules, rules_text
 
 from lexitree.cli import _build_parser, main, parse_path
 from lexitree.model import (
@@ -27,7 +29,7 @@ from lexitree.model import (
 from lexitree.rules import default_registry, default_rules_text
 from lexitree.transform import TableSpec, expand_alternatives, extract_table, materialize_inheritance
 from lexitree.rules import parse_rules
-from lexitree.xmlio import parse_entry, serialize_chunks, serialize_entry
+from lexitree.xmlio import ParseDiagnostic, parse_entry, serialize_entry
 
 
 def run(capsys, *argv):
@@ -526,15 +528,22 @@ def test_expansion_above_the_bound_is_refused(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["expand", "materialize"])
-def test_a_refusal_after_a_chunk_of_valid_output_leaves_stdout_empty(capsys, tmp_path, command):
-    valid = "".join(f"<struc><def>d{i}</def></struc>" for i in range(1000))
-    assert len(list(serialize_chunks(parse_entry(f"<struc>{valid}</struc>")[0]))) > 1
-    doc = tmp_path / "foo_last.xml"
-    doc.write_text(f"<struc><orth>x</orth>{valid}<struc><foo>y</foo></struc></struc>", encoding="utf-8")
-    code, out, err = run(capsys, command, doc)
-    assert (code, out) == (1, "")
-    assert "unknown element <foo> kept as a feature" in err
-    assert err.endswith("lexitree: feature 'foo' has no base element in the profile\n")
+def test_a_kept_unknown_element_is_written_and_reads_back_with_its_warning(capsys, tmp_path, command):
+    # The lenient parser keeps <sensenum> and <foo>, one in a brack, as features, so the writer writes
+    # them: no parsed document reaches a writer refusal.
+    kept = ["unknown element <sensenum> kept as a feature", "unknown element <foo> kept as a feature"]
+    source = FIXTURES / "kept_unknown.xml"
+    code, out, err = run(capsys, command, source)
+    assert code == 0 and re.findall("unknown element .*", err) == kept
+    tree, _ = parse_entry(source.read_bytes())
+    if command == "materialize":
+        tree = materialize_inheritance(tree, default_registry())
+    doc = tmp_path / f"{command}.xml"
+    doc.write_text(out, encoding="utf-8")
+    assert parse_entry(doc.read_bytes()) == (tree, [ParseDiagnostic("warning", 5, 5, kept[0]),
+                                                  ParseDiagnostic("warning", 7, 7, kept[1])])
+    code, out, err = run(capsys, "validate", doc)
+    assert (code, out) == (0, "OK\n") and re.findall("unknown element .*", err) == kept
 
 
 # 1,000 leaves after the root: a listing or table of them takes several writes
@@ -661,6 +670,28 @@ def test_a_closed_stdout_exits_one_with_stderr_empty(tmp_path, unbuffered):
             assert len(proc.stdout.read(3)) == 3
             proc.stdout.close()
             assert (proc.stderr.read(), proc.wait()) == (b"", 1), argv
+
+
+EVERY_COMMAND = [["validate"], ["effective"], ["traversals"], ["expand"], ["materialize"], ["table", "--cols", "orth,pos"]]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell's >&-")
+def test_a_command_started_with_stdout_closed_exits_one_with_stderr_empty():
+    # Python then sets sys.stdout to None: the output has nowhere to go, as with a pipe closed before the start.
+    for command, *options in EVERY_COMMAND:
+        argv = [sys.executable, "-m", "lexitree", command, str(FIXTURES / "gendarme.xml"), *options]
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *argv], capture_output=True, env=subprocess_env())
+        assert (proc.returncode, proc.stderr) == (1, b""), command
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that refuses every write")
+def test_a_full_stdout_exits_one_naming_the_error():
+    for command, *options in EVERY_COMMAND:
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "lexitree", command, str(FIXTURES / "gendarme.xml"), *options],
+                                  stdout=full, stderr=subprocess.PIPE, env=subprocess_env())
+        assert (proc.returncode, proc.stderr.decode()) == (
+            1, f"lexitree: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"), command
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open descriptors")
@@ -851,7 +882,7 @@ def test_effective_on_random_documents_matches_oracle(capsys, tmp_path):
     import random
 
     from oracle import oracle_effective_set
-    from treegen import XML_PROFILE, all_paths, random_registry, random_tree
+    from treegen import all_paths, random_registry, random_tree
 
     from lexitree.model import format_value
     from lexitree.rules import default_registry
@@ -860,7 +891,7 @@ def test_effective_on_random_documents_matches_oracle(capsys, tmp_path):
     for case in range(10):
         tree = random_tree(rng, random_registry(rng, with_rules=False), for_xml=True)
         doc = tmp_path / f"random{case}.xml"
-        doc.write_bytes(serialize_entry(tree, XML_PROFILE))
+        doc.write_bytes(serialize_entry(tree))
         registry = default_registry()
         for path in all_paths(tree):
             code, out, _ = run(capsys, "effective", doc, "--path", ".".join(map(str, path)))
@@ -880,7 +911,7 @@ def test_each_walk_block_is_the_effective_set_of_its_node(tree_and_registry):
     tree, registry = tree_and_registry
     with tempfile.TemporaryDirectory() as tmp:
         doc, rules = Path(tmp) / "entry.xml", Path(tmp) / "entry.rules"
-        doc.write_bytes(serialize_entry(tree, XML_PROFILE))
+        doc.write_bytes(serialize_entry(tree))
         rules.write_text(rules_text(registry), encoding="utf-8")
 
         def cli(*argv):

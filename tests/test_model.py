@@ -399,6 +399,23 @@ def test_an_atomic_subclass_compares_by_its_text(registry):
     assert entries_as_tuples(effective_set(tree, (1,), registry)) == [("pos", "verb", (), 1)]  # gen is blocked
 
 
+class _TaggedComposite(Composite):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("cls", [FeatureClass.CUMULATIVE, FeatureClass.OVERWRITING])
+@pytest.mark.parametrize("tagged", [Property("brack", Composite([Property("ex", _TaggedAtomic("e"))])),
+                                    Property("brack", _TaggedComposite([P("ex", "e")]))], ids=["atomic", "composite"])
+def test_a_subclass_in_or_of_a_bundle_makes_another_value(cls, tagged):
+    # top-level atomic values compare by text, bundles by ==, which tells a subclass from its base
+    registry = FeatureClassRegistry({"brack": cls})
+    plain = P("brack", [P("ex", "e")])
+    tree = Node([tagged], children=[Node([plain])])
+    expected = [(tagged, 0), (plain, 1)] if cls is FeatureClass.CUMULATIVE else [(plain, 1)]
+    assert list(effective_set(tree, (0,), registry).items()) == expected
+    assert oracle_effective_set(tree, (0,), registry) == expected
+
+
 @pytest.mark.parametrize("path, step", [((1,), 0), ((0, 0), 1), ((0, 2, 0), 1)])
 def test_a_bad_step_below_a_doubled_orth_is_path_out_of_range(registry, path, step):
     doubled = Node([P("orth", "one"), P("orth", "two")], children=[Node([P("orth", "three")])])

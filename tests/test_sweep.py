@@ -2,15 +2,16 @@
 
 Two sources of documents: seeded `treegen` trees with alternatives, written
 as XML with their feature names mapped onto base elements of the default
-profile (so that `expand` and `materialize` can write them) and run with
-their own rules; and seeded `parsegen` tag soup that the parser accepts, run
-with the default rules. For each document:
+profile (so that they read back with no warning) and run with their own
+rules; and seeded `parsegen` tag soup that the parser accepts, run with the
+default rules. For each document:
 
 (a) every command exits 0, 1 or 2 without raising, and leaves stdout empty
     when it exits non-zero;
-(b) a tree that `serialize_entry` accepts re-parses equal to itself, with no
-    diagnostic; every atomic value of either parse carries the comparison key
-    `normalize_text` gives its text;
+(b) the tree re-serializes, and re-parses equal to itself, with one "kept as
+    a feature" warning for each written property whose feature the profile
+    lacks and no other diagnostic; every atomic value of either parse holds
+    its text in the form `normalize_text` gives it;
 (d) `traversals` and `table` of the `expand` output equal those of the
     `materialize` output: materialization is sound as the CLI runs it.
 
@@ -30,13 +31,11 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import parsegen
-from treegen import XML_PROFILE, random_registry, random_tree, rules_text
+from treegen import random_registry, random_tree, rules_text
 
 from lexitree.cli import main
-from lexitree.model import (
-    Composite, DependencyRule, FeatureClassRegistry, LexitreeError, _tree_properties, normalize_text,
-)
-from lexitree.xmlio import ParseError, parse_entry, serialize_entry
+from lexitree.model import Composite, DependencyRule, FeatureClassRegistry, _tree_properties, normalize_text
+from lexitree.xmlio import DEFAULT_PROFILE, ParseError, parse_entry, serialize_entry
 
 # treegen's feature names -> base elements of the default profile
 BASE_NAMES = {"fa": "orth", "fb": "pos", "fc": "gen", "fd": "def", "fe": "domain", "ff": "ex"}
@@ -50,7 +49,7 @@ def treegen_documents(draw):
     tree = random_tree(rng, registry, max_depth=4, allow_alts=True, for_xml=True)
     # values and attributes escape "<", so only tags match
     document = re.sub(rb"<(/?)(f[a-f])\b", lambda m: b"<" + m[1] + BASE_NAMES[m[2].decode()].encode(),
-                      serialize_entry(tree, XML_PROFILE))
+                      serialize_entry(tree))
     renamed = FeatureClassRegistry(
         {BASE_NAMES[f]: cls for f, cls in registry.classes.items()},
         [DependencyRule(BASE_NAMES[r.dependent], BASE_NAMES[r.governor], r.required_value) for r in registry.rules],
@@ -91,24 +90,26 @@ def run_every_command(doc: Path, with_rules: list, listings: list) -> dict:
     return outputs
 
 
-def check_canonical_text(tree):
-    """Every atomic value, a `brack`'s contents included, holds its text in normalized form."""
+def atomic_properties(tree):
+    """Each property with an atomic value, a `brack`'s contents included, in document order."""
     for prop in _tree_properties(tree):
-        for each in prop.value.properties if isinstance(prop.value, Composite) else (prop,):
-            assert each.value.text == normalize_text(each.value.text), each
+        yield from prop.value.properties if isinstance(prop.value, Composite) else (prop,)
+
+
+def check_canonical_text(tree):
+    for each in atomic_properties(tree):
+        assert each.value.text == normalize_text(each.value.text), each
 
 
 def check_relations(document: bytes, rules: str | None):
     tree, _ = parse_entry(document)
     check_canonical_text(tree)
-    try:
-        written = serialize_entry(tree)
-    except LexitreeError:
-        pass
-    else:
-        again = parse_entry(written)
-        assert again == (tree, [])  # (b)
-        check_canonical_text(again[0])
+    again, diagnostics = parse_entry(serialize_entry(tree))  # (b)
+    assert again == tree
+    assert [(d.severity, d.message) for d in diagnostics] == [
+        ("warning", f"unknown element <{each.feature}> kept as a feature")
+        for each in atomic_properties(tree) if each.feature not in DEFAULT_PROFILE.base_elements]
+    check_canonical_text(again)
     columns = ",".join(sorted({str(p.feature) for p in _tree_properties(tree)})) or "orth"
     listings = [["traversals", "--full"], ["traversals", "--partial"], ["table", "--cols", columns],
                 ["table", "--cols", columns, "--format", "html"]]

@@ -386,8 +386,6 @@ def test_profile_rejects_structural_names_and_empty():
         EncodingProfile(["orth", "struc"])
     with pytest.raises(ValueError):
         EncodingProfile([])
-    with pytest.raises(ValueError):
-        EncodingProfile(["2nd"])
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +420,32 @@ def test_empty_value_round_trips():
     assert again == tree
 
 
-def test_serialize_unknown_feature_rejected():
-    with pytest.raises(UnknownFeature):
-        serialize_entry(Node([Property("nonsuch", "x")]))
+@pytest.mark.parametrize("feature", ["gender", "struc", "alt", "dict", "2nd"])
+def test_serialize_refuses_a_feature_that_would_not_read_back_as_itself(feature):
+    # an alias reads back as its canonical name, a structural name as structure, a digit first as no element
+    with pytest.raises(UnknownFeature) as err:
+        serialize_entry(Node([Property(feature, "x")]))
+    assert err.value.feature == feature
+    assert str(err.value) == f"feature {feature!r} has no element that reads back as itself"
     # a node's alternatives are checked before its children, whichever of the two is refused for what
     with pytest.raises(UnknownFeature):
-        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("nonsuch", "1")], [P("pos", "v")]])], [Node([P("def", "a\x01b")])]))
+        serialize_entry(Node([P("orth", "x")], [AltGroup([[P(feature, "1")], [P("pos", "v")]])], [Node([P("def", "a\x01b")])]))
     with pytest.raises(SerializeError) as err:
-        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("pos", "n")], [P("pos", "a\x01b")]])], [Node([P("nonsuch", "1")])]))
+        serialize_entry(Node([P("orth", "x")], [AltGroup([[P("pos", "n")], [P("pos", "a\x01b")]])], [Node([P(feature, "1")])]))
     assert not isinstance(err.value, UnknownFeature) and "pos" in str(err.value)
+
+
+def test_serialize_writes_a_feature_outside_the_profile_as_the_lenient_parser_keeps_it():
+    tree = Node([P("orth", "x"), P("sensenum", "2", n="1"), P("brack", [P("foo", "f")])], children=[Node([P("foo", "g")])])
+    document = serialize_entry(tree)
+    assert b'<sensenum n="1">2</sensenum>' in document and b"<foo>f</foo>" in document
+    again, diagnostics = parse_entry(document)
+    assert again == tree
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (5, "unknown element <sensenum> kept as a feature"), (7, "unknown element <foo> kept as a feature"),
+        (10, "unknown element <foo> kept as a feature")]
+    with pytest.raises(UnknownElement):
+        parse_entry(document, STRICT)
 
 
 def test_serialize_rejects_out_of_encoding_values():
@@ -520,19 +535,15 @@ def test_shared_properties_serialize_like_unshared_ones(gendarme, registry):
         assert serialize_entry(parse_entry(serialize_entry(tree))[0]) == serialize_entry(tree)
 
 
-def test_shared_property_without_base_element_still_refused():
-    unknown = Property("nonsuch", "x")
+def test_shared_property_with_a_refused_feature_still_refused():
+    refused = Property("gender", "x")
     with pytest.raises(UnknownFeature) as err:
-        serialize_entry(Node([unknown], children=[Node([unknown]), Node([unknown])]))
-    assert err.value.feature == "nonsuch"
-    no_ex = EncodingProfile(DEFAULT_PROFILE.base_elements - {"ex"})
+        serialize_entry(Node([refused], children=[Node([refused]), Node([refused])]))
+    assert err.value.feature == "gender"
     ex = P("ex", "e")
     for tree in (Node([P("orth", "x")], children=[Node([ex]), Node([ex])]),
                  Node([P("brack", [ex])], children=[Node([ex])])):
         assert serialize_entry(tree).count(b"<ex>e</ex>") == 2
-        with pytest.raises(UnknownFeature) as err:
-            serialize_entry(tree, no_ex)
-        assert err.value.feature == "ex"
 
 
 def test_escaping_survives_round_trip():
@@ -600,7 +611,7 @@ def test_a_refusal_in_the_last_node_comes_before_any_chunk():
     valid = [Node([P("def", f"d{i}")]) for i in range(1000)]
     assert len(list(serialize_chunks(Node([P("orth", "x")], children=valid)))) > 1
     with pytest.raises(UnknownFeature):  # at the call, before any chunk is asked for
-        serialize_chunks(Node([P("orth", "x")], children=[*valid, Node([Property("foo", "y")])]))
+        serialize_chunks(Node([P("orth", "x")], children=[*valid, Node([Property("gender", "y")])]))
 
 
 def test_writing_a_materialized_chain_holds_a_fraction_of_it(registry):
@@ -623,7 +634,7 @@ def test_writing_a_materialized_chain_holds_a_fraction_of_it(registry):
 
 @given(xml_trees())
 def test_parse_serialize_round_trip(tree):
-    document = serialize_entry(tree, XML_PROFILE)
+    document = serialize_entry(tree)
     again, diagnostics = parse_entry(document, XML_PROFILE)
     assert diagnostics == []
     assert again == tree
@@ -631,9 +642,9 @@ def test_parse_serialize_round_trip(tree):
 
 @given(xml_trees())
 def test_serialization_is_byte_idempotent(tree):
-    once = serialize_entry(tree, XML_PROFILE)
+    once = serialize_entry(tree)
     again, _ = parse_entry(once, XML_PROFILE)
-    assert serialize_entry(again, XML_PROFILE) == once
+    assert serialize_entry(again) == once
 
 
 @st.composite
@@ -696,7 +707,7 @@ _GAP_TEXT = (" ", "\t", "\n  ", "\r\n", "\u00a0", ",", "&amp;", "&#10;", "<!-- c
 @settings(max_examples=200)
 @given(xml_trees(), st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_GAP_TEXT)), max_size=4))
 def test_parse_equals_the_exact_pass_with_text_in_structural_gaps(tree, inserts):
-    lines = serialize_entry(tree, XML_PROFILE).decode("utf-8").split("\n")
+    lines = serialize_entry(tree).decode("utf-8").split("\n")
     for position, text in inserts:
         lines[1 + position % (len(lines) - 3)] += text  # from <dict> to the line before </dict>
     document = "\n".join(lines).encode("utf-8")
@@ -762,4 +773,4 @@ def test_text_in_skipped_subtrees_keeps_one_pass(passes):
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # parse_passes resets the count
 @given(tree=xml_trees())
 def test_serialized_trees_parse_in_one_pass(passes, tree):
-    assert parse_passes(passes, serialize_entry(tree, XML_PROFILE), XML_PROFILE) == 1
+    assert parse_passes(passes, serialize_entry(tree), XML_PROFILE) == 1
