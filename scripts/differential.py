@@ -3,9 +3,10 @@
 checkout and with an earlier commit, and compare the results.
 
 The earlier commit REV is checked out with `git worktree add` into a
-temporary directory, removed on exit. Each checkout answers every case in
-one worker process with its own `src`, run from this checkout's root so that
-both read and print the same paths; REV's gives the reference.
+temporary directory, removed on exit (`scripts/worktree.py`). Each checkout
+answers every case in one worker process with its own `src`, run from this
+checkout's root so that both read and print the same paths; REV's gives the
+reference.
 
 Command cases: every `COMMANDS` argument set on every test fixture and on
 seeded documents from `bench/generate.py` (`corpus` entries and one
@@ -70,6 +71,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 import generate  # noqa: E402
 import parsegen  # noqa: E402
+from worktree import checkout  # noqa: E402
 
 # Arguments after the file, per command run.
 COMMANDS = [
@@ -220,49 +222,42 @@ def main() -> int:
     versions = {interpreter: subprocess.run([interpreter, "-c", "import sys; print(sys.version.split()[0])"],
                                             capture_output=True, text=True, check=True).stdout.strip()
                 for interpreter in args.interpreters}
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp) / "base"
-        if subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(base), args.base]
-                          ).returncode:
-            return 2  # git has said why
-        try:
-            listed = read_differences(args.base)
-            inputs = Path(tmp) / "inputs"
-            inputs.mkdir()
-            fixtures, generated = sorted(FIXTURES.glob("*.xml")), generated_documents(inputs)
-            argvs = [[command, str(path), *rest] for path in [f.relative_to(ROOT) for f in fixtures] + generated
-                     for command, *rest in COMMANDS]
-            for fixture in fixtures:
-                for label, variant in with_stray_text(fixture.read_bytes())[1:]:
-                    path = inputs / f"{fixture.stem}.{label[2:].replace(' ', '-')}.xml"
-                    path.write_bytes(variant)
-                    argvs += [["validate", str(path)], ["expand", str(path)]]
-            sweep = parse_sweep(fixtures + generated)
-            want_parses, want_runs = side_reports(base / "src", sweep, argvs)
-            parses, in_process = side_reports(ROOT / "src", sweep, argvs)
-            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
-            placeholder = str(inputs).encode()
-            # (case id, label, how it differs, REV's digest, the digest of each of this checkout's runs)
-            differing = []
-            for argv, want, got in zip(argvs, want_runs, in_process):
-                runs = [("run in process", got)]
-                runs += [(f"run under {interpreter} ({version})", in_subprocess(interpreter, argv, env))
-                         for interpreter, version in versions.items()]
-                if any(got != want for _, got in runs):
-                    how = [f"  {name} of {args.base} against this checkout's {run}, {difference(a, b)}"
-                           for run, got in runs for name, a, b in zip(("stdout", "stderr", "exit code"), want, got)
-                           if a != b]
-                    differing.append(("command:" + " ".join(argv).replace(str(inputs), "<inputs>"),
-                                      f"lexitree {' '.join(argv)}", how, digest(want, placeholder),
-                                      [digest(got, placeholder) for _, got in runs]))
-            command_differences = len(differing)
-            for (case, label, _, _), want, got in zip(sweep, want_parses, parses):
-                if got != want:
-                    how = [f"  report of {args.base} against this checkout's, {difference(want, got)}"]
-                    differing.append((case, f"parse {label}", how, digest(want, placeholder),
-                                      [digest(got, placeholder)]))
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)], check=True)
+    with checkout(args.base) as base, tempfile.TemporaryDirectory() as tmp:
+        listed = read_differences(args.base)
+        inputs = Path(tmp) / "inputs"
+        inputs.mkdir()
+        fixtures, generated = sorted(FIXTURES.glob("*.xml")), generated_documents(inputs)
+        argvs = [[command, str(path), *rest] for path in [f.relative_to(ROOT) for f in fixtures] + generated
+                 for command, *rest in COMMANDS]
+        for fixture in fixtures:
+            for label, variant in with_stray_text(fixture.read_bytes())[1:]:
+                path = inputs / f"{fixture.stem}.{label[2:].replace(' ', '-')}.xml"
+                path.write_bytes(variant)
+                argvs += [["validate", str(path)], ["expand", str(path)]]
+        sweep = parse_sweep(fixtures + generated)
+        want_parses, want_runs = side_reports(base / "src", sweep, argvs)
+        parses, in_process = side_reports(ROOT / "src", sweep, argvs)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
+        placeholder = str(inputs).encode()
+        # (case id, label, how it differs, REV's digest, the digest of each of this checkout's runs)
+        differing = []
+        for argv, want, got in zip(argvs, want_runs, in_process):
+            runs = [("run in process", got)]
+            runs += [(f"run under {interpreter} ({version})", in_subprocess(interpreter, argv, env))
+                     for interpreter, version in versions.items()]
+            if any(got != want for _, got in runs):
+                how = [f"  {name} of {args.base} against this checkout's {run}, {difference(a, b)}"
+                       for run, got in runs for name, a, b in zip(("stdout", "stderr", "exit code"), want, got)
+                       if a != b]
+                differing.append(("command:" + " ".join(argv).replace(str(inputs), "<inputs>"),
+                                  f"lexitree {' '.join(argv)}", how, digest(want, placeholder),
+                                  [digest(got, placeholder) for _, got in runs]))
+        command_differences = len(differing)
+        for (case, label, _, _), want, got in zip(sweep, want_parses, parses):
+            if got != want:
+                how = [f"  report of {args.base} against this checkout's, {difference(want, got)}"]
+                differing.append((case, f"parse {label}", how, digest(want, placeholder),
+                                  [digest(got, placeholder)]))
     unexpected = 0
     for case, label, how, want, got in differing:
         if listed.get(case) != (want, got[0]) or len(set(got)) > 1:

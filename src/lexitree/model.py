@@ -285,6 +285,14 @@ class DependencyRule(_Value):
         super().__init__(FeatureName(dependent), FeatureName(governor), normalize_text(required_value))
 
 
+class _Classes(dict):
+    """A registry's `classes`: a missing FeatureName reads as `default`, the registry's
+    `default_class`, and any other name is folded first, so `__getitem__` classifies."""
+
+    def __missing__(self, feature: FeatureName | str) -> FeatureClass:
+        return self.default if isinstance(feature, FeatureName) else self[FeatureName(feature)]
+
+
 class FeatureClassRegistry(_Value):
     """Feature classifications plus dependency rules. A feature missing from
     `classes` falls back to `default_class`, local by default: the inert choice.
@@ -303,7 +311,8 @@ class FeatureClassRegistry(_Value):
         rules: Iterable[DependencyRule] = (),
         default_class: FeatureClass = FeatureClass.LOCAL,
     ):
-        mapping = {FeatureName(f): c for f, c in dict(classes).items()}
+        mapping = _Classes({FeatureName(f): c for f, c in dict(classes).items()})
+        mapping.default = default_class
         rules = tuple(rules)
         table: dict[FeatureName, list[tuple[FeatureName, str]]] = {}
         for rule in rules:
@@ -315,9 +324,11 @@ class FeatureClassRegistry(_Value):
         super().__init__(mapping, rules, default_class)
         object.__setattr__(self, "_table", table)  # `rules` is a tuple, so it cannot go stale
 
-    def classify(self, feature: FeatureName | str) -> FeatureClass:
-        """The class of `feature`, or `default_class`; a name that is not a FeatureName is folded first."""
-        return self.classes.get(feature if isinstance(feature, FeatureName) else FeatureName(feature), self.default_class)
+    @property
+    def classify(self) -> Callable[[FeatureName | str], FeatureClass]:
+        """The class of a feature, or `default_class`; a name that is not a FeatureName
+        is folded first. A property: a subclass may override it with a method."""
+        return self.classes.__getitem__
 
 
 class EffectiveFeatureSet(_Value):
@@ -429,11 +440,14 @@ def _chain(root: Node, path: Sequence[int]) -> list[Node]:
     """The nodes from the root to the endpoint of `path`, as resolve_path finds it."""
     chain = [root]
     node = root
-    for step, index in enumerate(path):
-        if not 0 <= index < len(node.children):
-            raise PathOutOfRange(path, step)
-        node = node.children[index]
-        chain.append(node)
+    try:
+        for index in path:
+            if index < 0:  # read from the end of the list, it would name another node
+                raise IndexError
+            node = node.children[index]
+            chain.append(node)
+    except IndexError:
+        raise PathOutOfRange(path, len(chain) - 1) from None  # the step that failed
     return chain
 
 

@@ -179,6 +179,13 @@ def test_classify_default_registry(registry):
 def test_classify_falls_back_to_default_class():
     empty = FeatureClassRegistry()
     assert empty.classify("zzz") is FeatureClass.LOCAL
+    # `classify` reads `classes`, where a missing name reads as the default and any other name is folded first
+    registry = FeatureClassRegistry({"pos": FeatureClass.OVERWRITING}, default_class=FeatureClass.CUMULATIVE)
+    assert registry.classify("POS") is registry.classify(FeatureName("pos")) is FeatureClass.OVERWRITING
+    assert registry.classify("zzz") is registry.classes[FeatureName("zzz")] is FeatureClass.CUMULATIVE
+    assert registry.classes.get("zzz") is None and "zzz" not in registry.classes
+    with pytest.raises(ValueError, match="invalid feature name"):
+        registry.classify("no such name")
 
 
 def test_unregistered_features_lists_each_once_in_document_order():
@@ -317,7 +324,7 @@ def test_effective_set_bad_path(overdress, registry):
         effective_set(overdress, (0, 0), registry)
 
 
-@pytest.mark.parametrize("path, step", [((2,), 0), ((0, 0), 1), ((1, 0, 7), 1)])
+@pytest.mark.parametrize("path, step", [((2,), 0), ((0, 0), 1), ((1, 0, 7), 1), ((-1,), 0), ((0, -1), 1)])
 def test_bad_path_is_reported_alike_by_resolve_path_and_effective_set(overdress, registry, path, step):
     for find in (resolve_path, lambda tree, path: effective_set(tree, path, registry)):
         with pytest.raises(PathOutOfRange) as err:

@@ -127,6 +127,8 @@ def test_default_registry_is_fresh_per_call():
     assert first is not default_registry()
     assert (first.classes, first.rules) == (shipped.classes, shipped.rules)
     first.classes[FeatureName("orth")] = FeatureClass.LOCAL
+    first.classes[FeatureName("zzz")] = FeatureClass.CUMULATIVE
+    assert (first.classify("orth"), first.classify("ZZZ")) == (FeatureClass.LOCAL, FeatureClass.CUMULATIVE)
     second = default_registry()
     assert (second.classes, second.rules) == (shipped.classes, shipped.rules)
-    assert second.classify("orth") is FeatureClass.OVERWRITING
+    assert (second.classify("orth"), second.classify("zzz")) == (FeatureClass.OVERWRITING, FeatureClass.LOCAL)

@@ -153,7 +153,7 @@ def test_a_slot_left_unset_stays_unset_in_copies():
 def test_copies_and_pickles_keep_the_canonical_text_and_rule_table():
     atomic = Atomic(" cafe\u0301 \t au\r\nlait\n")
     rule = DependencyRule("gen", "pos", " nou\u0308n\t x ")
-    registry = FeatureClassRegistry({"pos": FeatureClass.OVERWRITING}, [rule])
+    registry = FeatureClassRegistry({"pos": FeatureClass.OVERWRITING}, [rule], FeatureClass.CUMULATIVE)
     assert Atomic.__slots__ == ("text",) and not hasattr(atomic, "_key")
     assert FeatureClassRegistry.__slots__ == ("classes", "rules", "default_class", "_table")
     assert atomic.text == "caf\u00e9 au lait" and registry._table == {"pos": [("gen", "no\u00fcn x")]}
@@ -163,6 +163,8 @@ def test_copies_and_pickles_keep_the_canonical_text_and_rule_table():
     for again in copies(registry):
         assert (again.rules, again._table) == (registry.rules, registry._table)
         assert again.rules[0].required_value == "no\u00fcn x"
+        # an unknown feature still reads as the copy's default class, which `classes` carries
+        assert again.classify("zzz") is again.classes[FeatureName("zzz")] is FeatureClass.CUMULATIVE
 
 
 def test_effective_set_on_an_unpickled_parsed_tree_equals_the_original():
