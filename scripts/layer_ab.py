@@ -22,8 +22,11 @@ What one round of each layer runs:
 Each side first runs a round untimed, and the script says whether the two
 sides' results have equal `repr`s. Then every round times both sides after a
 `gc.collect()`, REV first in even rounds and this checkout first in odd ones.
-The report gives each side's median and quartiles, the number of rounds this
-checkout was faster (a tie counts for neither side), and a verdict: "faster"
+The report gives each side's median and quartiles; the median and quartiles
+of the per-round ratio, this checkout's time over REV's, which the host's
+speed moves less than either side, since it moves both sides of a round
+alike; the number of rounds this checkout was faster (a tie counts for
+neither side); and a verdict, which the ratio does not enter: "faster"
 or "slower" only when one side wins at least nine tenths of the rounds and
 the medians differ by more than the distance between REV's quartiles, and
 "not resolved" otherwise. Only a bad argument or REV makes it exit non-zero.
@@ -111,6 +114,10 @@ def main() -> int:
     for label, (q1, median, q3) in zip((args.base, "this checkout"), quartiles):
         print(f"{label:<24.24} {median:>10.4f} {q1:>10.4f} {q3:>10.4f}")
     (q1, base_median, q3), (_, change_median, _) = quartiles
+    ratio_q1, ratio_median, ratio_q3 = statistics.quantiles(
+        [c / b for b, c in zip(base_times, change_times)], n=4, method="inclusive")
+    print(f"per-round ratio, this checkout over {args.base}: median {ratio_median:.4f}, "
+          f"quartiles {ratio_q1:.4f}–{ratio_q3:.4f}")
     wins = sum(c < b for b, c in zip(base_times, change_times))
     losses = sum(c > b for b, c in zip(base_times, change_times))
     resolved = abs(change_median - base_median) > q3 - q1

@@ -5,7 +5,8 @@ always emitted), `struc` (a tree node, the only element that carries
 structure), `alt` (parallel alternatives; consecutive `alt` siblings form one
 group), and `brack` (a grouping property whose value is a one-level bundle of
 feature elements). Every other element is a base element naming a feature;
-its text is the value and its XML attributes are carried verbatim.
+its text is the value and its XML attributes are carried verbatim, in
+document order (DTD defaults after the specified ones).
 
 Parsing is one pass of expat callbacks, with text buffered so that each run
 arrives as one chunk. Each structural element gets a frame; a feature element
@@ -14,10 +15,11 @@ list, and each distinct chunk of text directly in a structural element to a
 set, with no Python call; a chunk of stray text among them, found at the end,
 means a second pass, unbuffered, that warns of it in place. Values and nodes
 are built through their slots. A value's text is `model.normalize_text` of
-its character data, so a parsed value is what `Atomic` would hold; printable
-text with single spaces inside needs at most NFC, and no Python call. Which
-element may open inside which is one table, `_CONTENT`, that also holds the
-refusal for the rest. Parsing is lenient by default: unknown elements become
+its character data, so a parsed value is what `Atomic` would hold; text with
+no tab, LF or CR and no doubled, leading or trailing space is in that form
+once in NFC, and skips the call. Which element may open inside which is one
+table, `_CONTENT`, that also holds the refusal for the rest; each frame takes
+its row when it opens. Parsing is lenient by default: unknown elements become
 atomic properties and misplaced ones are skipped, each with a warning, so
 real dictionary data with extra tags degrades gracefully. With `strict` set
 on the profile they abort the parse instead.
@@ -181,20 +183,21 @@ def _tag_table(profile: EncodingProfile) -> dict[str, tuple[str, FeatureName | N
 
 
 class _Frame:
-    """One open structural element, or the document around it (kind None):
-    the properties of a struc, alt or brack, and a brack's attributes; the
-    nodes of a struc, a dict or the document; a struc's alternative groups,
-    and the run of `alt` siblings still open."""
+    """One open structural element, or the document around it (kind None): its
+    `_CONTENT` row; the properties of a struc, alt or brack, and a brack's
+    attributes; the nodes of a struc, a dict or the document; a struc's groups
+    and run of open `alt` siblings, lists once an `alt` opens inside it."""
 
-    __slots__ = ("kind", "attrs", "props", "groups", "children", "alt_run", "warned_text")
+    __slots__ = ("kind", "content", "attrs", "props", "groups", "children", "alt_run", "warned_text")
 
     def __init__(self, kind: str | None, attrs: tuple[tuple[str, str], ...] = ()):
         self.kind = kind
+        self.content = _CONTENT[kind]
         self.attrs = attrs
         self.props: list[Property] = []
-        self.groups: list[AltGroup] = []
         self.children: list[Node] = []
-        self.alt_run: list[tuple[Property, ...]] = []
+        self.groups: list[AltGroup] | tuple[()] = ()
+        self.alt_run: list[tuple[Property, ...]] | tuple[()] = ()
         self.warned_text = False
 
 
@@ -221,7 +224,6 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
     """One pass of `parse_entry`. Text directly inside structural elements goes to `chardata` if `exact`,
     else to `between`, checked at the end: None if it holds stray text. Stray text changes no refusal."""
     parser = expat.ParserCreate()
-    parser.ordered_attributes = True
     # Buffered, a text run arrives as one chunk, handed over before the next element event
     # or handler change; the exact pass takes each chunk in place, for stray text's position.
     parser.buffer_text = not exact
@@ -252,7 +254,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
         else:
             frame.groups.append(AltGroup(run))
 
-    def start(tag: str, attrs: list[str]) -> None:
+    def start(tag: str, attrs: dict[str, str]) -> None:
         nonlocal skip_depth, flatten, feature, carried
         if skip_depth:
             skip_depth += 1
@@ -263,7 +265,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             return
         kind, name, unknown = tags.get(tag) or tags.setdefault(tag, _resolve(tag, profile.base_elements))
         top = stack[-1]
-        allowed, refusal = _CONTENT[top.kind]
+        allowed, refusal = top.content
         if kind not in allowed:
             # a wrong document element is fatal; strict mode aborts, lenient skips
             message = refusal.format(tag=tag)
@@ -284,13 +286,15 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
                 parser.CharacterDataHandler = None
                 return
         if not kind:  # its text goes straight to the chunk list, with no Python call
-            feature, carried = name, tuple(zip(attrs[::2], attrs[1::2])) if attrs else ()
+            feature, carried = name, tuple(attrs.items()) if attrs else ()
             parser.CharacterDataHandler = append
         elif kind == "brack":
-            stack.append(_Frame(kind, tuple(zip(attrs[::2], attrs[1::2]))))
+            stack.append(_Frame(kind, tuple(attrs.items())))
         else:
             if attrs:
                 warn(f"attributes on <{tag}> are not modeled; dropped")
+            if kind == "alt" and top.groups == ():
+                top.groups, top.alt_run = [], []
             stack.append(_Frame(kind))
 
     def end(tag: str) -> None:
@@ -303,10 +307,11 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             if flatten:
                 flatten -= 1
                 return
-            text = chunks[0] if len(chunks) == 1 else "".join(chunks)
+            text = "".join(chunks)
             chunks.clear()
-            # printable text with single spaces inside is canonical once in NFC, as ASCII is
-            if not text.isprintable() or "  " in f" {text} ":
+            # text with no doubled, leading or trailing space and no tab, LF or CR (none if printable) needs at most NFC
+            if ("  " in text or text.strip(" ") != text
+                    or not text.isprintable() and ("\t" in text or "\n" in text or "\r" in text)):
                 text = normalize_text(text)
             elif not text.isascii():
                 text = normalize("NFC", text)

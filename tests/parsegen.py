@@ -44,8 +44,8 @@ def tag_soup(pick, integer) -> bytes:
 # Pieces of a feature element's content, each with the character data XML makes of it
 # (line ends normalized to LF): a letter outside ASCII, precomposed and decomposed,
 # spaces alone and in runs, XML whitespace literal and as references, other spaces,
-# text split by CDATA, comments and references, and runs longer than the first
-# pass's 8,192-character text buffer.
+# text split by CDATA, comments and references, runs longer than the first pass's
+# 8,192-character text buffer, and a character neither printable nor whitespace.
 VALUE_PIECES = (
     ("a", "a"), ("word", "word"), ("\u00e9", "\u00e9"), ("e\u0301", "e\u0301"), ("&amp;", "&"), ("&lt;", "<"),
     (" ", " "), ("  ", "  "), ("\t", "\t"), ("\n", "\n"), ("\r", "\n"), ("\r\n", "\n"),
@@ -53,4 +53,5 @@ VALUE_PIECES = (
     ("\u00a0", "\u00a0"), ("\u2028", "\u2028"), ("\u0085", "\u0085"),
     ("<![CDATA[ b ]]>", " b "), ("<![CDATA[]]>", ""), ("<!-- c -->", ""),
     ("x" * 9000, "x" * 9000), (" y" * 4500, " y" * 4500), ("\n" * 8200, "\n" * 8200),
+    ("\u200b", "\u200b"),
 )

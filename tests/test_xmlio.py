@@ -86,6 +86,13 @@ def test_text_is_trimmed_and_collapsed():
 def test_attributes_ride_on_properties_in_order():
     tree, _ = parse_entry(b'<struc><xr type="see" n="2">x</xr></struc>')
     assert tree.properties[0].attrs == (("type", "see"), ("n", "2"))
+    # in document order on a feature element and a brack, a DTD default after the specified ones, in both passes
+    document = (b'<!DOCTYPE struc [<!ATTLIST xr type CDATA "see">]>'
+                b'<struc><xr z="1" a="2">x</xr><brack z="1" a="2"><orth>o</orth></brack></struc>')
+    for parse in (parse_entry, exact_parse):
+        tree, diagnostics = parse(document)
+        assert ([p.attrs for p in tree.properties], diagnostics) == (
+            [(("z", "1"), ("a", "2"), ("type", "see")), (("z", "1"), ("a", "2"))], [])
 
 
 def test_consecutive_alts_group_and_separators_split():
@@ -331,9 +338,16 @@ def test_non_xml_whitespace_in_a_structural_element_is_stray_text(space):
 
 
 def test_every_space_outside_xml_whitespace_is_unprintable():
-    # the premise of the parser's str.split fast path for printable text
+    # the premise of normalize_text's str.split branch for printable text
     spaces = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in " \t\n\r"]
     assert spaces and not any(c.isprintable() for c in spaces)
+
+
+def test_nfc_makes_no_xml_whitespace():
+    # the premise of the parser's fast path: text with no tab, LF, CR or doubled, leading or
+    # trailing space is canonical once in NFC, since no canonical decomposition holds XML whitespace
+    others = "".join(c for c in map(chr, range(0x110000)) if c not in " \t\n\r")
+    assert not set(unicodedata.normalize("NFD", others)) & set(" \t\n\r")
 
 
 def _value_reference(chardata: str) -> str:
