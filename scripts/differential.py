@@ -93,7 +93,7 @@ COMMANDS = [
 CORPUS_SEED, CORPUS_ENTRIES = 5, 10
 BIG_SEED, BIG_DEPTH = 7, 6
 SOUP_SEED, SOUP_DOCUMENTS = 17, 10_000
-MIN_COMMAND_RUNS, MIN_PARSES = 542, 20_705  # each case list's length when its floor was set
+MIN_COMMAND_RUNS, MIN_PARSES = 560, 20_810  # each case list's length when its floor was set
 
 # Each checkout's worker: (document, strict) pairs and argvs in, a report per parse and per argv out, pickled.
 WORKER = """

@@ -414,10 +414,11 @@ def normalize_text(text: str) -> str:
     form its XML encoding reads back as: NFC, each run of XML whitespace (space,
     tab, CR, LF) one space, the ends trimmed. U+00A0, the other spaces and the
     control characters are text."""
-    text = normalize("NFC", text)
-    if text.isprintable():  # then the space is its one whitespace character, and str.split is exact
-        return " ".join(text.split())
-    return re.sub("[ \t\n\r]+", " ", text).strip(" ")
+    # text with no doubled, leading or trailing space and no tab, LF or CR (none if printable) needs at most NFC
+    if ("  " in text or text.strip(" ") != text
+            or not text.isprintable() and ("\t" in text or "\n" in text or "\r" in text)):
+        return re.sub("[ \t\n\r]+", " ", normalize("NFC", text)).strip(" ")
+    return text if text.isascii() else normalize("NFC", text)
 
 
 def format_value(value: FeatureValue) -> str:
@@ -531,18 +532,18 @@ _LOCAL, _CUMULATIVE = FeatureClass.LOCAL, FeatureClass.CUMULATIVE  # an Enum mem
 
 def _fold(
     state: _State, nodes: Sequence[Node], depth: int, classify: Callable[[FeatureName], FeatureClass], table: dict,
-    doubled: list[tuple[Property, Property]],
+    doubled: list[tuple[FeatureName, FeatureValue, FeatureValue]],
 ) -> list[int]:
     """Fold `nodes`, a chain from a node at `depth` down to a descendant, onto
     the state its first node inherits, in place, as `effective_set` describes;
     return the keys of the last node's local entries, which its children drop.
     `classify` runs once per property, in order; ancestors' local entries are
-    then skipped. An overwrite reads its feature's rules from `table` (a registry's `_table`).
-    A doubled overwriting feature is skipped and appended to `doubled` as (first, second)."""
+    then skipped. An overwrite reads its feature's rules from `table` (a registry's `_table`). A doubled
+    overwriting feature is skipped and appended to `doubled` as OverwriteConflict's arguments."""
     local_keys: list[int] = []
     endpoint = nodes[-1]
     for node in nodes:
-        seen_here: dict[FeatureName, Property] | None = None  # made at the node's first overwrite
+        seen_here: dict[FeatureName, FeatureValue] | None = None  # first values, made at the node's first overwrite
         for index, prop in enumerate(node.properties):
             feature = prop.feature
             cls = classify(feature)
@@ -559,9 +560,9 @@ def _fold(
             if seen_here is None:
                 seen_here = {}
             elif feature in seen_here:
-                doubled.append((seen_here[feature], prop))
+                doubled.append((feature, seen_here[feature], value))
                 continue
-            seen_here[feature] = prop
+            seen_here[feature] = value
             inherited = state.get(feature)
             if inherited is not None:
                 if inherited[2] == key and inherited[0].attrs == prop.attrs:
@@ -593,7 +594,7 @@ def _walk(root: Node, registry: FeatureClassRegistry) -> Iterator[tuple[list[int
         depth, index, node, state = stack.pop()
         if depth:
             path[depth - 1:] = (index,)
-        doubled: list[tuple[Property, Property]] = []
+        doubled: list[tuple[FeatureName, FeatureValue, FeatureValue]] = []
         local_keys = _fold(state, (node,), depth, classify, table, doubled)
         yield path, node, state, doubled
         for key in local_keys:
@@ -612,8 +613,7 @@ def _effective_lists(root: Node, registry: FeatureClassRegistry, leaves_only: bo
     _require_alt_free(root)
     for path, node, state, doubled in _walk(root, registry):
         if doubled:
-            first, second = doubled[0]
-            raise OverwriteConflict(second.feature, first.value, second.value)
+            raise OverwriteConflict(*doubled[0])
         if not (leaves_only and node.children):
             # from a list, at its size: tuple(map(...)) would grow one per node and leave it in a free list
             yield path, node, tuple([*map(itemgetter(0), state.values())])
@@ -639,11 +639,10 @@ def effective_set(
     * local values appear only when the contributing node is the endpoint.
     """
     state: _State = {}
-    doubled: list[tuple[Property, Property]] = []
+    doubled: list[tuple[FeatureName, FeatureValue, FeatureValue]] = []
     _fold(state, _chain(root, path), 0, registry.classify, registry._table, doubled)
     if doubled:
-        first, second = doubled[0]
-        raise OverwriteConflict(second.feature, first.value, second.value)
+        raise OverwriteConflict(*doubled[0])
     result = object.__new__(EffectiveFeatureSet)
     entries, depths, _ = zip(*state.values()) if state else ((), (), ())
     object.__setattr__(result, "entries", entries)
@@ -663,8 +662,8 @@ def check_consistency(root: Node, registry: FeatureClassRegistry) -> list[Violat
     """
     violations: list[Violation] = []
     for path, node, state, doubled in _walk(root, registry):
-        for first, second in doubled:
-            violations.append(OverwriteViolation(tuple(path), second.feature, first.value, second.value))
+        for each in doubled:
+            violations.append(OverwriteViolation(tuple(path), *each))
         for rule in registry.rules:
             governor = state.get(rule.governor)
             if governor is None or governor[2] == rule.required_value:

@@ -15,14 +15,14 @@ list, and each distinct chunk of text directly in a structural element to a
 set, with no Python call; a chunk of stray text among them, found at the end,
 means a second pass, unbuffered, that warns of it in place. Values and nodes
 are built through their slots. A value's text is `model.normalize_text` of
-its character data, so a parsed value is what `Atomic` would hold; text with
-no tab, LF or CR and no doubled, leading or trailing space is in that form
-once in NFC, and skips the call. Which element may open inside which is one
-table, `_CONTENT`, that also holds the refusal for the rest; each frame takes
-its row when it opens. Parsing is lenient by default: unknown elements become
-atomic properties and misplaced ones are skipped, each with a warning, so
-real dictionary data with extra tags degrades gracefully. With `strict` set
-on the profile they abort the parse instead.
+its character data, so a parsed value is what `Atomic` would hold; that call
+returns text already in that form as it is when ASCII, and in NFC otherwise.
+Which element may open inside which is one table, `_CONTENT`, that also
+holds the refusal for the rest; each frame takes its row when it opens.
+Parsing is lenient by default: unknown elements become atomic properties and
+misplaced ones are skipped, each with a warning, so real dictionary data with
+extra tags degrades gracefully. With `strict` set on the profile they abort
+the parse instead.
 
 Serialization produces one canonical form: an XML declaration, a `dict`
 wrapper, two-space indentation per level up to 64 levels, one element per
@@ -41,10 +41,8 @@ writing recurses, so nesting depth is bounded by memory alone.
 
 from __future__ import annotations
 
-import functools
 import re
 from typing import Iterable, Iterator
-from unicodedata import normalize
 from xml.parsers import expat
 
 from .model import (
@@ -77,10 +75,30 @@ _STRUCTURAL = ("struc", "alt", "brack", "dict")
 _FEATURE_ALIASES = {"gender": "gen"}
 
 
-class EncodingProfile(_Value):
-    """Which element names map to features, and how forgiving parsing is."""
+def _resolve(tag: str, base_elements: frozenset[FeatureName]) -> tuple[str, FeatureName | None, str | None]:
+    """What an element name means under a profile: its kind, the feature a
+    feature element sets (None for an unusable name), and the warning an
+    unknown feature element draws on every occurrence (None when known).
+    Names fold case, structural ones included, as feature names do."""
+    folded = tag.lower()
+    if folded in _STRUCTURAL:
+        return folded, None, None
+    try:
+        name = FeatureName(folded)
+    except ValueError:
+        return "", None, f"unknown element <{tag}> is not a usable feature name; skipped"
+    feature = FeatureName(_FEATURE_ALIASES.get(name, name))
+    if name in base_elements:
+        return "", feature, None
+    return "", feature, f"unknown element <{tag}> kept as a feature"
 
-    __slots__ = _fields = ("base_elements", "strict")
+
+class EncodingProfile(_Value):
+    """Which element names map to features, and how forgiving parsing is. `_tags` holds `_resolve` of the
+    structural names, base elements and aliases; each parse adds other names to a copy, so it stays small."""
+
+    _fields = ("base_elements", "strict")
+    __slots__ = (*_fields, "_tags")
     base_elements: frozenset[FeatureName]
     strict: bool
 
@@ -92,6 +110,7 @@ class EncodingProfile(_Value):
             if reserved in names:
                 raise ValueError(f"{reserved!r} is a structural element, not a base element")
         super().__init__(names, strict)
+        object.__setattr__(self, "_tags", {tag: _resolve(tag, names) for tag in (*_STRUCTURAL, *names, *_FEATURE_ALIASES)})
 
 
 DEFAULT_PROFILE = EncodingProfile()
@@ -156,32 +175,6 @@ _CONTENT: dict[str | None, tuple[frozenset[str], str]] = {
 _BRACK = FeatureName("brack")
 
 
-def _resolve(tag: str, base_elements: frozenset[FeatureName]) -> tuple[str, FeatureName | None, str | None]:
-    """What an element name means under a profile: its kind, the feature a
-    feature element sets (None for an unusable name), and the warning an
-    unknown feature element draws on every occurrence (None when known).
-    Names fold case, structural ones included, as feature names do."""
-    folded = tag.lower()
-    if folded in _STRUCTURAL:
-        return folded, None, None
-    try:
-        name = FeatureName(folded)
-    except ValueError:
-        return "", None, f"unknown element <{tag}> is not a usable feature name; skipped"
-    feature = FeatureName(_FEATURE_ALIASES.get(name, name))
-    if name in base_elements:
-        return "", feature, None
-    return "", feature, f"unknown element <{tag}> kept as a feature"
-
-
-@functools.lru_cache(maxsize=16)
-def _tag_table(profile: EncodingProfile) -> dict[str, tuple[str, FeatureName | None, str | None]]:
-    """`_resolve` of the structural names, base elements and aliases, built once per
-    profile; each parse adds other names to a copy, so this table stays small."""
-    return {tag: _resolve(tag, profile.base_elements)
-            for tag in (*_STRUCTURAL, *profile.base_elements, *_FEATURE_ALIASES)}
-
-
 class _Frame:
     """One open structural element, or the document around it (kind None): its
     `_CONTENT` row; the properties of a struc, alt or brack, and a brack's
@@ -228,14 +221,13 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
     # or handler change; the exact pass takes each chunk in place, for stray text's position.
     parser.buffer_text = not exact
     strict = profile.strict
-    tags = dict(_tag_table(profile))
+    tags = dict(profile._tags)
     diagnostics: list[ParseDiagnostic] = []
     stack = [_Frame(None)]  # the document, then every open structural element
-    skip_depth = 0  # elements open in a skipped subtree
-    # The open feature element, if `feature` is set: the feature it sets, its attributes,
-    # and the count of markup open inside it. Its text goes to `chunks`, one list per parse.
+    # The open feature element, if `feature` is set: the feature it sets and its attributes.
+    # Its text goes to `chunks`, one list per parse.
     feature = carried = None
-    flatten = 0
+    inside = 0  # elements open where nothing is built: in a skipped subtree, or in the feature element
     chunks: list[str] = []
     append = chunks.append
     between: set[str] = set()  # each distinct chunk once: a deep entry's indentation has many lengths
@@ -255,13 +247,11 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             frame.groups.append(AltGroup(run))
 
     def start(tag: str, attrs: dict[str, str]) -> None:
-        nonlocal skip_depth, flatten, feature, carried
-        if skip_depth:
-            skip_depth += 1
-            return
-        if feature is not None:
-            flatten += 1
-            warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
+        nonlocal inside, feature, carried
+        if inside or feature is not None:
+            inside += 1
+            if feature is not None:
+                warn(f"element <{tag}> inside a feature element; its text is kept, markup dropped")
             return
         kind, name, unknown = tags.get(tag) or tags.setdefault(tag, _resolve(tag, profile.base_elements))
         top = stack[-1]
@@ -272,7 +262,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             if top.kind is None or strict:
                 raise UnknownElement(diagnostic("error", message))
             warn(f"{message}; skipped")
-            skip_depth = 1
+            inside = 1
             parser.CharacterDataHandler = None  # a skipped subtree's text is neither kept nor warned of
             return
         if top.alt_run and kind != "alt":
@@ -282,7 +272,7 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
                 raise UnknownElement(diagnostic("error", f"unknown element <{tag}>"))
             warn(unknown)
             if name is None:
-                skip_depth = 1
+                inside = 1
                 parser.CharacterDataHandler = None
                 return
         if not kind:  # its text goes straight to the chunk list, with no Python call
@@ -298,25 +288,16 @@ def _parse(document: bytes | str, profile: EncodingProfile, exact: bool) -> tupl
             stack.append(_Frame(kind))
 
     def end(tag: str) -> None:
-        nonlocal skip_depth, flatten, feature
-        if skip_depth:
-            skip_depth -= 1
-            parser.CharacterDataHandler = None if skip_depth else structural
+        nonlocal inside, feature
+        if inside:
+            inside -= 1
+            if not inside and feature is None:  # a skipped subtree closed
+                parser.CharacterDataHandler = structural
             return
         if feature is not None:
-            if flatten:
-                flatten -= 1
-                return
-            text = "".join(chunks)
-            chunks.clear()
-            # text with no doubled, leading or trailing space and no tab, LF or CR (none if printable) needs at most NFC
-            if ("  " in text or text.strip(" ") != text
-                    or not text.isprintable() and ("\t" in text or "\n" in text or "\r" in text)):
-                text = normalize_text(text)
-            elif not text.isascii():
-                text = normalize("NFC", text)
             value, prop = _new(Atomic), _new(Property)
-            _set_text(value, text)
+            _set_text(value, normalize_text("".join(chunks)))
+            chunks.clear()
             _set_feature(prop, feature)
             _set_value(prop, value)
             _set_attrs(prop, carried)

@@ -32,6 +32,7 @@ from lexitree.model import (
     resolve_path,
     unregistered_features,
 )
+from lexitree.transform import materialize_inheritance
 from lexitree.xmlio import parse_entry
 
 # ---------------------------------------------------------------------------
@@ -505,6 +506,19 @@ def test_doubled_overwriting_feature_reported(registry):
     assert isinstance(violation, OverwriteViolation)
     assert violation.path == (0,)
     assert violation.feature == "orth"
+
+
+def test_a_tripled_overwriting_feature_sets_each_later_value_against_the_first(registry):
+    tree, _ = parse_entry(b"<struc><orth>a</orth><pos>noun</pos><orth>b</orth><orth>c</orth></struc>")
+    assert check_consistency(tree, registry) == [
+        OverwriteViolation((), FeatureName("orth"), Atomic("a"), Atomic("b")),
+        OverwriteViolation((), FeatureName("orth"), Atomic("a"), Atomic("c")),
+    ]
+    for operation in (lambda: effective_set(tree, (), registry), lambda: materialize_inheritance(tree, registry)):
+        with pytest.raises(OverwriteConflict) as err:
+            operation()
+        assert (err.value.feature, err.value.existing, err.value.new) == ("orth", Atomic("a"), Atomic("b"))
+        assert "('a' vs 'b')" in str(err.value)
 
 
 def test_dependent_under_wrong_governor_reported():

@@ -14,7 +14,7 @@ from conftest import FIXTURES, P, fixture_bytes
 from treegen import XML_PROFILE, xml_trees
 
 from lexitree import xmlio
-from lexitree.model import AltGroup, Atomic, Composite, Node, Property
+from lexitree.model import AltGroup, Atomic, Composite, Node, Property, normalize_text
 from lexitree.transform import materialize_inheritance
 from lexitree.xmlio import (
     DEFAULT_PROFILE,
@@ -253,6 +253,8 @@ def test_stray_text_warned_once_per_element():
 
 _FLATTENED = b"<struc>\n  <def>a<usg>b<i>c</i></usg>d</def>\n  <orth>x</orth>\n</struc>"
 _SKIPPED = b"<struc>\n  <brack>\n    <struc><orth>x</orth>loose</struc>\n  </brack>\n  <orth>y</orth>\n</struc>"
+# a skipped subtree that holds markup a feature element would flatten: one count of open elements covers both
+_SKIPPED_FLATTENED = b"<struc>\n  <brack>\n    <struc><def>a<usg>b</usg></def>c</struc>\n  </brack>\n  <orth>y</orth>\n</struc>"
 
 # Every warning kind the parser emits, with the position expat reports for
 # it: the start of the element, or of the text chunk, that triggered it.
@@ -282,6 +284,8 @@ _WARNINGS = [
       (2, 15, "element <i> inside a feature element; its text is kept, markup dropped")]),
     (_SKIPPED,
      [(3, 5, "<struc> is not allowed inside <brack>; only one level of feature elements; skipped")]),
+    (_SKIPPED_FLATTENED,
+     [(3, 5, "<struc> is not allowed inside <brack>; only one level of feature elements; skipped")]),
     (b"<struc>\n  <alt><pos>n</pos></alt>\n  <alt><pos>v</pos></alt> loose\n</struc>",
      [(3, 26, "stray text inside a structural element; ignored")]),
 ]
@@ -297,7 +301,8 @@ def test_warning_kinds_are_pinned_with_positions(document, expected):
 
 def test_flattened_and_skipped_markup_leave_the_rest_of_the_entry():
     assert parse_entry(_FLATTENED)[0] == Node([P("def", "abcd"), P("orth", "x")])
-    assert parse_entry(_SKIPPED)[0] == Node([P("brack", []), P("orth", "y")])
+    for parse in (parse_entry, exact_parse):
+        assert parse(_SKIPPED)[0] == parse(_SKIPPED_FLATTENED)[0] == Node([P("brack", []), P("orth", "y")])
 
 
 def test_value_joins_entities_cdata_and_character_references_and_drops_comments():
@@ -338,13 +343,14 @@ def test_non_xml_whitespace_in_a_structural_element_is_stray_text(space):
 
 
 def test_every_space_outside_xml_whitespace_is_unprintable():
-    # the premise of normalize_text's str.split branch for printable text
+    # printable text holds no whitespace but the space, so str.split would be exact on it alone;
+    # normalize_text searches for the four XML whitespace characters instead, on any text
     spaces = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in " \t\n\r"]
     assert spaces and not any(c.isprintable() for c in spaces)
 
 
 def test_nfc_makes_no_xml_whitespace():
-    # the premise of the parser's fast path: text with no tab, LF, CR or doubled, leading or
+    # the premise of normalize_text's fast path: text with no tab, LF, CR or doubled, leading or
     # trailing space is canonical once in NFC, since no canonical decomposition holds XML whitespace
     others = "".join(c for c in map(chr, range(0x110000)) if c not in " \t\n\r")
     assert not set(unicodedata.normalize("NFD", others)) & set(" \t\n\r")
@@ -352,6 +358,13 @@ def test_nfc_makes_no_xml_whitespace():
 
 def _value_reference(chardata: str) -> str:
     return unicodedata.normalize("NFC", re.sub("[ \t\n\r]+", " ", chardata).strip(" "))
+
+
+@settings(max_examples=300)
+@given(st.text(" \t\n\r\u00a0\u2028\u200b\u0001e\u0301\u00e9\u0338a", max_size=12))
+def test_normalize_text_is_the_reference_on_both_of_its_paths(text):
+    # for direct callers too: text that is canonical once in NFC, and text that needs collapsing or trimming
+    assert normalize_text(text) == _value_reference(text)
 
 
 @settings(max_examples=300)
