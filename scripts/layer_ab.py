@@ -17,7 +17,9 @@ What one round of each layer runs:
 * check_consistency: one call on the raw tree;
 * materialize_inheritance: one call on the expanded tree, parsed from the
   generator's canonical expansion;
-* parse_entry: one parse of the raw document.
+* parse_entry: one parse of the raw document;
+* serialize_chunks: the pieces of the expanded tree and of its
+  materialization, each joined; both trees are built before the rounds.
 
 Each side first runs a round untimed, and the script says whether the two
 sides' results have equal `repr`s. Then every round times both sides after a
@@ -49,7 +51,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import generate  # noqa: E402
 from worktree import checkout  # noqa: E402
 
-LAYERS = ("effective_set", "check_consistency", "materialize_inheritance", "parse_entry")
+LAYERS = ("effective_set", "check_consistency", "materialize_inheritance", "parse_entry", "serialize_chunks")
 BIG_DEPTH, BIG_QUERIES = 6, 1000  # bench/workloads.py's big_entry
 
 
@@ -72,6 +74,10 @@ def round_of(layer: str, modules: dict, doc: generate.Document):
     if layer == "materialize_inheritance":
         expanded, _ = parse(doc.expanded)
         return lambda: transform.materialize_inheritance(expanded, registry)
+    if layer == "serialize_chunks":
+        expanded, _ = parse(doc.expanded)
+        materialized, chunks = transform.materialize_inheritance(expanded, registry), modules["xmlio"].serialize_chunks
+        return lambda: (b"".join(chunks(expanded)), b"".join(chunks(materialized)))
     tree, _ = parse(doc.raw)
     if layer == "check_consistency":
         return lambda: model.check_consistency(tree, registry)

@@ -168,7 +168,8 @@ def _cmd_traversals(args, registry: FeatureClassRegistry) -> int:
 
 
 def _cmd_expand(args, registry: None) -> int:
-    # every property is checked before the first write, so a refused tree leaves stdout empty
+    # the parser makes only features and text that read back as themselves, and expanding (or materializing)
+    # only rearranges its properties, so the writer refuses none of them and no refusal follows a write
     sys.stdout.buffer.writelines(serialize_chunks(expand_alternatives(_read_tree(args.file, None))))
     return OK
 

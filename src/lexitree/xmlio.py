@@ -31,10 +31,11 @@ yields the original tree (a feature outside the profile with a "kept as a
 feature" warning), and a parsed tree re-serializes byte-identically. The
 writer refuses what would not read back as itself: a feature named `struc`,
 `alt`, `dict` or `gender` (an alias of `gen`) or starting with a digit, and a
-character outside XML. It makes two passes. The first builds and checks each
-distinct property's element once, as UTF-8, so a refusal comes before any
-output; the second yields the document one node or closing tag at a time
-(`serialize_chunks`), so a caller can write it without holding it whole.
+character outside XML. It walks the tree once, building and checking each
+distinct property's element, as UTF-8, when the walk first meets it, and
+yields the document one node or closing tag at a time (`serialize_chunks`),
+so a caller can write it without holding it whole. A refusal comes after the
+pieces before it; `serialize_entry`, which joins them, returns all or nothing.
 Adjacent alternative groups re-parse as one group. Neither parsing nor
 writing recurses, so nesting depth is bounded by memory alone.
 """
@@ -54,7 +55,6 @@ from .model import (
     Node,
     Property,
     _Value,
-    _tree_properties,
     normalize_text,
 )
 
@@ -397,7 +397,7 @@ _OPEN, _CLOSE, _EMPTY, _ALT, _END_ALT = (
 
 
 def serialize_entry(root: Node) -> bytes:
-    """Write a tree in the canonical encoding (UTF-8 bytes): `serialize_chunks` joined.
+    """Write a tree in the canonical encoding (UTF-8 bytes): `serialize_chunks` joined, all or nothing.
 
     Every feature must read back as itself (UnknownFeature names one that would
     not), and XML must carry every character of every value.
@@ -407,14 +407,14 @@ def serialize_entry(root: Node) -> bytes:
 
 
 def serialize_chunks(root: Node) -> Iterator[bytes]:
-    """`serialize_entry`'s document as UTF-8 pieces: one per node, holding its properties and
-    alternatives, and one per closing tag. Every property is built and checked before this
-    returns, so a tree it cannot write raises SerializeError before any piece exists."""
-    # Built once per call: each property's element by id (nodes share inherited Property objects,
+    """`serialize_entry`'s document as UTF-8 pieces, in one walk: one per node, holding its properties and
+    alternatives, and one per closing tag. Each property is built and checked when the walk first meets it,
+    so a tree it cannot write raises SerializeError once iteration reaches the first refused property."""
+    # Built once per call: each atomic property's line by id (nodes share inherited Property objects,
     # which the tree keeps alive while it is written), each feature's tags, each attribute tuple's
-    # string, the attribute names checked. A brack that holds properties spans lines, so pass 2
-    # writes it; its element is b"".
+    # string, the attribute names checked. A brack spans lines, so it is built at its level each time.
     elements: dict[int, bytes] = {}
+    get = elements.get
     tags: dict[FeatureName, tuple[str, str]] = {}
     attr_strings: dict[tuple[tuple[str, str], ...], str] = {}
     names: set[str] = set()
@@ -430,18 +430,19 @@ def serialize_chunks(root: Node) -> Iterator[bytes]:
             text = attr_strings[prop.attrs] = "".join(f' {name}="{_escape_attr(v)}"' for name, v in prop.attrs)
         return text
 
-    def element(prop: Property, nested: bool = False) -> None:  # nested: held in a brack
+    def element(prop: Property, level: int, nested: bool = False) -> bytes:  # nested: held in a brack
         feature, value = prop.feature, prop.value
         if isinstance(value, Composite):
             if nested:
                 raise SerializeError("brack holds feature elements one level deep, nothing deeper")
             if feature != "brack":
                 raise SerializeError(f"composite value on feature {str(feature)!r}; only 'brack' holds bundles")
-            attrs = attributes(prop)
-            for each in value.properties:
-                element(each, True)
-            elements[id(prop)] = b"" if value.properties else f"<brack{attrs}/>".encode()
-            return
+            head = f"<brack{attributes(prop)}"
+            if not value.properties:
+                return f"{head}/>".encode()
+            indent = _INDENTS[level + 1]
+            inner = indent.join([get(id(p)) or element(p, level + 1, True) for p in value.properties])
+            return b"".join((f"{head}>".encode(), indent, inner, _INDENTS[level], b"</brack>"))
         tag = tags.get(feature)
         if tag is None:  # once per name: a structural name or an alias reads back as another, a digit first as none
             if feature == "brack" and not nested:
@@ -453,49 +454,37 @@ def serialize_chunks(root: Node) -> Iterator[bytes]:
         if not text.isprintable() and not _carried(text):
             raise SerializeError(f"value of feature {str(feature)!r} holds a character XML cannot carry")
         head = tag[0] + attributes(prop) if prop.attrs else tag[0]
-        elements[id(prop)] = (f"{head}>{_escape_text(text)}{tag[1]}" if text else f"{head}/>").encode()
+        line = elements[id(prop)] = (f"{head}>{_escape_text(text)}{tag[1]}" if text else f"{head}/>").encode()
+        return line
 
-    for prop in _tree_properties(root):  # pass 1, in document order, so the first refusal is the first in the output
-        if id(prop) not in elements:
-            element(prop)
-    get = elements.get
-
-    def brack(prop: Property, level: int) -> bytes:
-        indent = _INDENTS[level + 1]
-        inner = indent.join([get(id(p)) for p in prop.value.properties])
-        return b"".join((f"<brack{attr_strings[prop.attrs]}>".encode(), indent, inner, _INDENTS[level], b"</brack>"))
-
-    def chunks() -> Iterator[bytes]:  # pass 2: each line is one of _INDENTS, then its element
-        yield b'<?xml version="1.0" encoding="utf-8"?>\n<dict>'
-        # pending work, last first: a (node, level) to open or a closing tag to write
-        stack: list[tuple[Node, int] | bytes] = [(root, 1)]
-        while stack:
-            item = stack.pop()
-            if type(item) is bytes:
-                yield item
-                continue
-            node, level = item
-            props, groups, children = node.properties, node.alt_groups, node.children
-            if not (props or groups or children):
-                yield _EMPTY[level]
-                continue
-            pieces = [_OPEN[level]]
-            if props:  # a shared property's element is read here, with no call
-                indent = _INDENTS[level + 1]
-                pieces += indent, indent.join([get(id(p)) or brack(p, level + 1) for p in props])
-            for group in groups:
-                indent = _INDENTS[level + 2]
-                for alternative in group.alternatives:
-                    inner = indent.join([get(id(p)) or brack(p, level + 2) for p in alternative])
-                    pieces += _ALT[level + 1], indent, inner, _END_ALT[level + 1]
-            if children:
-                stack.append(_CLOSE[level])
-                below = min(level + 1, _MAX_INDENT)
-                for child in reversed(children):
-                    stack.append((child, below))
-            else:
-                pieces.append(_CLOSE[level])
-            yield b"".join(pieces)
-        yield b"\n</dict>\n"
-
-    return chunks()
+    yield b'<?xml version="1.0" encoding="utf-8"?>\n<dict>'
+    # pending work, last first: a (node, level) to open or a closing tag to write
+    stack: list[tuple[Node, int] | bytes] = [(root, 1)]
+    while stack:
+        item = stack.pop()
+        if type(item) is bytes:
+            yield item
+            continue
+        node, level = item
+        props, groups, children = node.properties, node.alt_groups, node.children
+        if not (props or groups or children):
+            yield _EMPTY[level]
+            continue
+        pieces = [_OPEN[level]]  # each line is one of _INDENTS, then its element
+        if props:  # a property met before is read here, with no call
+            indent = _INDENTS[level + 1]
+            pieces += indent, indent.join([get(id(p)) or element(p, level + 1) for p in props])
+        for group in groups:
+            indent = _INDENTS[level + 2]
+            for alternative in group.alternatives:
+                inner = indent.join([get(id(p)) or element(p, level + 2) for p in alternative])
+                pieces += _ALT[level + 1], indent, inner, _END_ALT[level + 1]
+        if children:
+            stack.append(_CLOSE[level])
+            below = min(level + 1, _MAX_INDENT)
+            for child in reversed(children):
+                stack.append((child, below))
+        else:
+            pieces.append(_CLOSE[level])
+        yield b"".join(pieces)
+    yield b"\n</dict>\n"

@@ -13,7 +13,12 @@ default rules. For each document:
     lacks and no other diagnostic; every atomic value of either parse holds
     its text in the form `normalize_text` gives it;
 (d) `traversals` and `table` of the `expand` output equal those of the
-    `materialize` output: materialization is sound as the CLI runs it.
+    `materialize` output: materialization is sound as the CLI runs it;
+(e) the writer refuses neither the expanded tree nor its materialization
+    under the document's rules (a tree too large to expand, or one whose
+    materialization meets an overwrite conflict, is skipped). The writer
+    checks each element as it writes it, so this is what keeps stdout empty
+    when `expand` or `materialize` fails.
 
 Relation (c), `validate` agreeing with `validate` of the `expand` output,
 does not hold while `validate` ignores alternatives, and (b) covers at most
@@ -34,7 +39,10 @@ import parsegen
 from treegen import random_registry, random_tree, rules_text
 
 from lexitree.cli import main
-from lexitree.model import Composite, DependencyRule, FeatureClassRegistry, _tree_properties, normalize_text
+from lexitree.model import (
+    Composite, DependencyRule, FeatureClassRegistry, OverwriteConflict, _tree_properties, normalize_text)
+from lexitree.rules import default_registry, parse_rules
+from lexitree.transform import ExpansionTooLarge, expand_alternatives, materialize_inheritance
 from lexitree.xmlio import DEFAULT_PROFILE, ParseError, parse_entry, serialize_entry
 
 # treegen's feature names -> base elements of the default profile
@@ -101,9 +109,24 @@ def check_canonical_text(tree):
         assert each.value.text == normalize_text(each.value.text), each
 
 
+def check_writes(tree, rules: str | None):
+    """Relation (e), in this process."""
+    try:
+        expanded = expand_alternatives(tree)
+    except ExpansionTooLarge:
+        return
+    serialize_entry(expanded)
+    try:
+        materialized = materialize_inheritance(expanded, default_registry() if rules is None else parse_rules(rules))
+    except OverwriteConflict:
+        return
+    serialize_entry(materialized)
+
+
 def check_relations(document: bytes, rules: str | None):
     tree, _ = parse_entry(document)
     check_canonical_text(tree)
+    check_writes(tree, rules)
     again, diagnostics = parse_entry(serialize_entry(tree))  # (b)
     assert again == tree
     assert [(d.severity, d.message) for d in diagnostics] == [

@@ -634,11 +634,20 @@ def test_chunks_join_to_the_document():
     assert parse_entry(document) == (tree, [])
 
 
-def test_a_refusal_in_the_last_node_comes_before_any_chunk():
+def test_a_refusal_in_the_last_node_comes_after_the_valid_nodes_chunks():
     valid = [Node([P("def", f"d{i}")]) for i in range(1000)]
-    assert len(list(serialize_chunks(Node([P("orth", "x")], children=valid)))) > 1
-    with pytest.raises(UnknownFeature):  # at the call, before any chunk is asked for
-        serialize_chunks(Node([P("orth", "x")], children=[*valid, Node([Property("gender", "y")])]))
+    expected = list(serialize_chunks(Node([P("orth", "x")], children=valid)))
+    refused = Node([P("orth", "x")], children=[*valid, Node([Property("gender", "y")])])
+    chunks = serialize_chunks(refused)  # no check runs until a chunk is asked for
+    got = []
+    with pytest.raises(UnknownFeature) as err:
+        for chunk in chunks:
+            got.append(chunk)
+    assert err.value.feature == "gender"
+    assert got == expected[:-2]  # each valid node's piece; not the closing tags after the refused node
+    with pytest.raises(UnknownFeature) as err:  # the joined document is all or nothing
+        serialize_entry(refused)
+    assert err.value.feature == "gender"
 
 
 def test_writing_a_materialized_chain_holds_a_fraction_of_it(registry):
