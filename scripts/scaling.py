@@ -43,7 +43,9 @@ about a clean pass plus the exact pass, early or late alike.
 The last rows time a refusal: the same chain with an alternative group at
 its deepest node, which `extract_table`, `materialize_inheritance` and
 `enumerate_traversals` must refuse with UnexpandedAlternatives. A refusal
-that comes before any fold costs about as much per node as a bare walk.
+comes before any fold: one bare walk finds that some node has alternatives,
+and a second keeps the path to the first such node, so it costs about two
+bare walks per node (compare `unregistered_features`) at any depth.
 
 The quadratic rows time `check_consistency` on three shapes that the walk
 does not yet handle in linear time (ROADMAP item 5). A comb is a chain with

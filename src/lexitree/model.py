@@ -286,11 +286,19 @@ class DependencyRule(_Value):
 
 
 class _Classes(dict):
-    """A registry's `classes`: a missing FeatureName reads as `default`, the registry's
-    `default_class`, and any other name is folded first, so `__getitem__` classifies."""
+    """A registry's `classes`, fixed when it is built: a missing FeatureName reads as `default`,
+    the registry's `default_class`, and any other name is folded first, so `__getitem__` classifies."""
 
     def __missing__(self, feature: FeatureName | str) -> FeatureClass:
         return self.default if isinstance(feature, FeatureName) else self[FeatureName(feature)]
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild it whole; dict's own way sets each item
+        return self.__class__, (dict(self),), self.__dict__
+
+    def _refuse(self, *_: object, **__: object) -> None:
+        raise TypeError("a registry's classes are fixed when it is built")
+
+    __setitem__ = __delitem__ = __setattr__ = __delattr__ = update = setdefault = pop = popitem = clear = __ior__ = _refuse
 
 
 class FeatureClassRegistry(_Value):
@@ -312,7 +320,7 @@ class FeatureClassRegistry(_Value):
         default_class: FeatureClass = FeatureClass.LOCAL,
     ):
         mapping = _Classes({FeatureName(f): c for f, c in dict(classes).items()})
-        mapping.default = default_class
+        object.__setattr__(mapping, "default", default_class)
         rules = tuple(rules)
         table: dict[FeatureName, list[tuple[FeatureName, str]]] = {}
         for rule in rules:
@@ -468,14 +476,19 @@ def _preorder(root: Node) -> Iterator[tuple[int, int, Node]]:
             stack.append((depth + 1, i, node.children[i]))
 
 
-def iter_nodes(root: Node) -> Iterator[tuple[NodePath, Node]]:
-    """Yield (path, node) pairs in document (preorder) order. Each path is a
-    fresh tuple, O(depth) per node; a walk that reports no paths reads `_preorder`."""
+def _paths(root: Node) -> Iterator[tuple[list[int], Node]]:
+    """Yield (path, node) pairs as `iter_nodes` does, but `path` is one list, updated in place."""
     path: list[int] = []
     for depth, index, node in _preorder(root):
         if depth:
             path[depth - 1:] = (index,)
-        yield tuple(path), node
+        yield path, node
+
+
+def iter_nodes(root: Node) -> Iterator[tuple[NodePath, Node]]:
+    """Yield (path, node) pairs in document (preorder) order. Each path is a
+    fresh tuple, O(depth) per node; a walk that keeps few paths reads `_paths`."""
+    return ((tuple(path), node) for path, node in _paths(root))
 
 
 def _tree_properties(root: Node) -> list[Property]:
@@ -492,7 +505,7 @@ def _tree_properties(root: Node) -> list[Property]:
 def _require_alt_free(root: Node) -> None:
     """Raise UnexpandedAlternatives at the first node in document order that has alternatives."""
     if any(node.alt_groups for _, _, node in _preorder(root)):
-        raise UnexpandedAlternatives(next(path for path, node in iter_nodes(root) if node.alt_groups))
+        raise UnexpandedAlternatives(next(tuple(path) for path, node in _paths(root) if node.alt_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +695,10 @@ def enumerate_traversals(root: Node) -> list[NodePath]:
     The tree must contain no alternative groups; expand them first.
     """
     _require_alt_free(root)
-    return [path for path, node in iter_nodes(root) if node.is_leaf()]
+    return [tuple(path) for path, node in _paths(root) if node.is_leaf()]
 
 
 def partial_traversals(root: Node) -> list[NodePath]:
     """One path per node, root and leaves included, in document order."""
     _require_alt_free(root)
-    return [path for path, _ in iter_nodes(root)]
+    return [tuple(path) for path, _ in _paths(root)]

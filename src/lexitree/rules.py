@@ -79,14 +79,8 @@ def default_rules_text() -> str:
 
 
 @functools.cache
-def _default_parts() -> tuple:
-    shipped = parse_rules(default_rules_text(), source="<default>")
-    return shipped.classes, shipped.rules
-
-
 def default_registry() -> FeatureClassRegistry:
     """The shipped classifications: orth/etym/pos/gen/pron overwrite, def/domain/time
     accumulate, ex/xr/brack stay local, and gen is licensed only under pos=noun.
-    The shipped file is parsed once per process; each call returns a fresh
-    registry with its own copy of `classes`, which a caller may change."""
-    return FeatureClassRegistry(*_default_parts())
+    The shipped file is parsed once per process, and every call returns that one registry."""
+    return parse_rules(default_rules_text(), source="<default>")

@@ -50,33 +50,31 @@ def expand_alternatives(root: Node) -> Node:
     The result's node count is worked out before any of it is built; above
     MAX_EXPANDED_NODES the expansion raises ExpansionTooLarge.
     """
-    built: list[list[Node]] = []  # the variants of each expanded subtree
-    sizes: list[int] = []  # the node count of those variants together
+    built: list[tuple[list[Node], int]] = []  # each expanded subtree's variants and their node count together
     order = [node for _, _, node in _preorder(root)]
     for node in reversed(order):  # each node's children are expanded before it
         if not (node.alt_groups or node.children):
-            built.append([node])  # a leaf without alternatives stays as it is
-            sizes.append(1)
+            built.append(([node], 1))  # a leaf without alternatives stays as it is
             continue
         children: list[Node] = []
         size = 1
         for _ in node.children:
-            children += built.pop()
-            size += sizes.pop()
+            variants, count = built.pop()
+            children += variants
+            size += count
         for group in node.alt_groups:
             size *= len(group.alternatives)
         if node is root and node.alt_groups:
             size += 1  # the fresh root its variants go under
         if size > MAX_EXPANDED_NODES:
             raise ExpansionTooLarge(size)
-        sizes.append(size)
         # a later group's alternative goes ahead of an earlier one's, as if
         # the groups were expanded one at a time
-        built.append([
+        built.append(([
             Node(sum(reversed(chosen), ()) + node.properties, (), children)
             for chosen in product(*(group.alternatives for group in node.alt_groups))
-        ])
-    (variants,) = built
+        ], size))
+    ((variants, _),) = built
     if len(variants) == 1:
         return variants[0]
     return Node(children=variants)

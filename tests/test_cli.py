@@ -758,6 +758,16 @@ def test_deep_chain_runs_every_tree_walk(capsys, tmp_path):
         f"{deepest}<orth>deep</orth>", f"{deepest}<def>d</def>", f"{deepest}<pos>noun</pos>", f"{deepest}<gen>m</gen>",
         f"{deepest}<ex>e1199</ex>",
     ]
+    # the same chain with an alternative group at its deepest node, which the walks that need none refuse
+    alternatives = tmp_path / "deep_alt.xml"
+    alternatives.write_text(
+        f"<struc><orth>deep</orth><def>d</def>{levels}<alt><def>a</def></alt><alt><def>b</def></alt>"
+        f"{'</struc>' * (depth + 1)}", encoding="utf-8",
+    )
+    refusal = f"lexitree: node {'.'.join(['0'] * depth)} still carries alternatives; expand them first"
+    for argv in (["traversals"], ["traversals", "--partial"], ["table", "--cols", "def"]):
+        code, out, err = run(capsys, argv[0], alternatives, *argv[1:])
+        assert (code, out, err) == (1, "", f"{refusal} (run: lexitree expand)\n"), argv
 
 
 def test_repeated_main_calls_leak_no_state(capsys, monkeypatch, tmp_path):

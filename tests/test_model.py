@@ -189,6 +189,23 @@ def test_classify_falls_back_to_default_class():
         registry.classify("no such name")
 
 
+def test_a_built_registry_cannot_be_reclassified(registry):
+    # reclassifying the governor would silence the rule: the constructor refuses that
+    # registry, and its `classes` refuses the change after the registry is built
+    tree, _ = parse_entry(
+        b"<struc><orth>x</orth><pos>noun</pos><gen>f</gen><struc><pos>verb</pos><gen>m</gen></struc></struc>"
+    )
+    report = ["0: feature 'gen' requires 'pos'='noun' but the effective value is 'verb'"]
+    assert [v.describe() for v in check_consistency(tree, registry)] == report
+    reclassified = {**registry.classes, FeatureName("pos"): FeatureClass.CUMULATIVE}
+    with pytest.raises(ValueError, match="governor 'pos' is not an overwriting feature"):
+        FeatureClassRegistry(reclassified, registry.rules)
+    with pytest.raises(TypeError, match="fixed when it is built"):
+        registry.classes[FeatureName("pos")] = FeatureClass.CUMULATIVE
+    assert registry.classify("pos") is FeatureClass.OVERWRITING
+    assert [v.describe() for v in check_consistency(tree, registry)] == report
+
+
 def test_unregistered_features_lists_each_once_in_document_order():
     class NoClassify(FeatureClassRegistry):
         def classify(self, feature):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lexitree.model import DependencyRule, FeatureClass, FeatureName
+from lexitree.model import DependencyRule, FeatureClass, FeatureClassRegistry, FeatureName
 from lexitree.rules import RulesError, default_registry, default_rules_text, load_rules, parse_rules
 
 
@@ -121,14 +121,30 @@ def test_default_registry_shipped_classifications():
     assert registry.rules == (DependencyRule("gen", "pos", "noun"),)
 
 
-def test_default_registry_is_fresh_per_call():
+def test_default_registry_is_one_fixed_registry():
     shipped = parse_rules(default_rules_text(), "<default>")
-    first = default_registry()
-    assert first is not default_registry()
-    assert (first.classes, first.rules) == (shipped.classes, shipped.rules)
-    first.classes[FeatureName("orth")] = FeatureClass.LOCAL
-    first.classes[FeatureName("zzz")] = FeatureClass.CUMULATIVE
-    assert (first.classify("orth"), first.classify("ZZZ")) == (FeatureClass.LOCAL, FeatureClass.CUMULATIVE)
-    second = default_registry()
-    assert (second.classes, second.rules) == (shipped.classes, shipped.rules)
-    assert (second.classify("orth"), second.classify("zzz")) == (FeatureClass.OVERWRITING, FeatureClass.LOCAL)
+    registry = default_registry()
+    assert registry is default_registry() and registry == shipped
+    classes, orth = registry.classes, FeatureName("orth")
+    for mutate in (
+        lambda: classes.__setitem__(orth, FeatureClass.LOCAL),
+        lambda: classes.__delitem__(orth),
+        lambda: classes.update({orth: FeatureClass.LOCAL}),
+        lambda: classes.update(orth=FeatureClass.LOCAL),
+        lambda: classes.setdefault(FeatureName("zzz"), FeatureClass.CUMULATIVE),
+        lambda: classes.pop(orth),
+        classes.popitem,
+        classes.clear,
+        lambda: setattr(classes, "default", FeatureClass.CUMULATIVE),
+        lambda: delattr(classes, "default"),
+    ):
+        with pytest.raises(TypeError, match="fixed when it is built"):
+            mutate()
+    with pytest.raises(TypeError, match="fixed when it is built"):
+        classes |= {orth: FeatureClass.LOCAL}
+    assert registry == shipped and classes.default is FeatureClass.LOCAL
+    assert (registry.classify("orth"), registry.classify("ZZZ")) == (FeatureClass.OVERWRITING, FeatureClass.LOCAL)
+    # another classification is another registry, built from this one's fields
+    widened = FeatureClassRegistry({**classes, FeatureName("zzz"): FeatureClass.CUMULATIVE}, registry.rules,
+                                   registry.default_class)
+    assert (widened.classify("orth"), widened.classify("ZZZ")) == (FeatureClass.OVERWRITING, FeatureClass.CUMULATIVE)

@@ -167,6 +167,20 @@ def test_copies_and_pickles_keep_the_canonical_text_and_rule_table():
         assert again.classify("zzz") is again.classes[FeatureName("zzz")] is FeatureClass.CUMULATIVE
 
 
+def test_copies_and_pickles_of_a_registry_are_equal_and_fixed():
+    registry = FeatureClassRegistry({"pos": FeatureClass.OVERWRITING, "def": FeatureClass.CUMULATIVE},
+                                    [DependencyRule("gen", "pos", "noun")], FeatureClass.CUMULATIVE)
+    for original in (registry, default_registry()):
+        for again in copies(original):
+            assert again == original and again.classes.__class__ is original.classes.__class__
+            assert again.classes.default is original.classes.default is original.default_class
+            for feature in ("pos", "DEF", "gen", "zzz"):
+                assert again.classify(feature) is original.classify(feature)
+            with pytest.raises(TypeError, match="fixed when it is built"):
+                again.classes[FeatureName("zzz")] = FeatureClass.LOCAL
+            assert again.classify("zzz") is original.default_class
+
+
 def test_effective_set_on_an_unpickled_parsed_tree_equals_the_original():
     tree, _ = parse_entry(fixture_bytes("gendarme.xml"))
     registry = default_registry()
